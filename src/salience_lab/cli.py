@@ -512,7 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("featurize", help="build the featurized train/test dataset")
     train_p = sub.add_parser("train", help="fit one model")
     train_p.add_argument("--model", required=True, choices=MODEL_KINDS)
-    sub.add_parser("tune", help="Hyperband search for the recurrent model")
+    sub.add_parser(
+        "tune",
+        help="Hyperband search for the recurrent model; tune/best_config.json is advisory "
+        "(nothing reads it; apply it with --set models.arch.*=... --set models.melchior.lr=...)",
+    )
     sub.add_parser("evaluate", help="score all trained models on the test split")
     sub.add_parser("embed", help="extract and project salience embeddings")
     sub.add_parser("cluster", help="partition the embedding space and profile clusters")

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -194,27 +195,20 @@ class Vocab:
     def size(self) -> int:
         return len(self.tokens) + 1
 
+    @cached_property
+    def _index(self) -> dict:
+        return {token: i for i, token in enumerate(self.tokens, start=1)}
+
     def encode(self, value) -> int:
-        try:
-            return self.tokens.index(value) + 1
-        except ValueError:
-            return 0
+        return self._index.get(value, 0)
 
     def as_mapping(self) -> dict:
-        out = {"OOV": 0}
-        for i, token in enumerate(self.tokens, start=1):
-            out[token] = i
-        return out
+        return {"OOV": 0, **self._index}
 
 
 def build_vocab(values: Iterable) -> Vocab:
     """Vocabulary over the unique values, in sorted order (fit on train only)."""
     return Vocab(tokens=tuple(sorted(set(values))))
-
-
-def _fast_vocab(vocab: Vocab):
-    lookup = {token: i for i, token in enumerate(vocab.tokens, start=1)}
-    return lambda v: lookup.get(v, 0)
 
 
 #: Calendar fields have a closed domain, so their vocabularies enumerate it
@@ -348,8 +342,8 @@ def build_dataset(
     train_users, test_users = split_users([t.user_id for t in traces], ratio, seed)
     train_raw = [t for t in traces if t.user_id in train_users]
     test_raw = [t for t in traces if t.user_id in test_users]
-    train_raw.sort(key=lambda t: t.user_id)
-    test_raw.sort(key=lambda t: t.user_id)
+    train_raw.sort(key=lambda t: (t.user_id, t.game_id))
+    test_raw.sort(key=lambda t: (t.user_id, t.game_id))
 
     vocabs = Vocabularies(
         hour=HOUR_VOCAB,
@@ -379,11 +373,6 @@ def build_dataset(
     )
     scaler = fit_scaler(columns)
 
-    enc_hour = _fast_vocab(vocabs.hour)
-    enc_weekday = _fast_vocab(vocabs.weekday)
-    enc_yearday = _fast_vocab(vocabs.yearday)
-    enc_region = _fast_vocab(vocabs.region)
-
     def featurize(trace: PlayerTrace, targets: list[TargetVector]) -> FeaturizedTrace:
         raw = _behaviour_matrix(trace)
         behaviour = np.stack(
@@ -393,10 +382,10 @@ def build_dataset(
         env_idx = np.asarray(
             [
                 (
-                    enc_hour(s.env.hour_of_day),
-                    enc_weekday(s.env.day_of_week),
-                    enc_yearday(s.env.day_of_year),
-                    enc_region(s.env.region),
+                    vocabs.hour.encode(s.env.hour_of_day),
+                    vocabs.weekday.encode(s.env.day_of_week),
+                    vocabs.yearday.encode(s.env.day_of_year),
+                    vocabs.region.encode(s.env.region),
                 )
                 for s in trace.sessions
             ],
@@ -478,16 +467,16 @@ def save_dataset(split: DatasetSplit, directory: str | Path) -> None:
 
 
 def _traces_from_rows(rows: list[dict]) -> list[FeaturizedTrace]:
-    by_user: dict[str, list[dict]] = {}
+    by_trace: dict[tuple[str, str], list[dict]] = {}
     for row in rows:
-        by_user.setdefault(row["user_id"], []).append(row)
+        by_trace.setdefault((row["user_id"], row["game_id"]), []).append(row)
     traces = []
-    for user_id in sorted(by_user):
-        chunk = sorted(by_user[user_id], key=lambda r: int(r["session_index"]))
+    for (user_id, game_id), chunk in sorted(by_trace.items()):
+        chunk.sort(key=lambda r: int(r["session_index"]))
         traces.append(
             FeaturizedTrace(
                 user_id=user_id,
-                game_id=chunk[0]["game_id"],
+                game_id=game_id,
                 game_idx=int(chunk[0]["game_idx"]),
                 behaviour=np.asarray(
                     [[float(r[name]) for name in BEHAVIOUR_FIELDS] for r in chunk]

@@ -28,6 +28,8 @@ from .features import DatasetSplit, FeaturizedTrace, Vocabularies, split_users
 from .neural import AdamState, Dense, Embedding, GruLayer, bce_loss, smape_loss
 
 TARGET_NAMES = ("ch", "st", "ss", "ab")
+#: Output head per target, in TARGET_NAMES order (the order heads draw from the RNG).
+HEAD_ACTIVATIONS = {"ch": "sigmoid", "st": "softplus", "ss": "softplus", "ab": "softplus"}
 
 
 class ModelError(ValueError):
@@ -49,6 +51,7 @@ class Batch:
     targets: dict[str, np.ndarray]  # name -> (B, T)
     ab_mask: np.ndarray  # (B, T), observed-absence flags (already 0 on padding)
     user_ids: list[str]
+    game_ids: list[str]
     lengths: np.ndarray  # (B,) int64
 
 
@@ -86,6 +89,7 @@ def make_batches(traces: Sequence[FeaturizedTrace], batch_size: int) -> list[Bat
                 targets=targets,
                 ab_mask=ab_mask,
                 user_ids=[t.user_id for t in chunk],
+                game_ids=[t.game_id for t in chunk],
                 lengths=np.asarray([t.length for t in chunk], dtype=np.int64),
             )
         )
@@ -103,6 +107,34 @@ def _loss_masks(batch: Batch) -> dict[str, np.ndarray]:
 
 def _loss_fn(name: str):
     return bce_loss if name == "ch" else smape_loss
+
+
+def _terms_fn(name: str):
+    return neural.bce_terms if name == "ch" else neural.smape_terms
+
+
+def masked_loss(
+    outputs: Mapping[str, np.ndarray], batch: Batch, weights: Sequence[float]
+) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
+    """Weighted multitask loss, per-target losses and d loss / d outputs.
+
+    A target whose mask is empty in this batch (e.g. no observed absence
+    among length-1 traces) contributes zero loss and zero gradient.
+    """
+    masks = _loss_masks(batch)
+    douts = {}
+    per_target = {}
+    total = 0.0
+    for w, name in zip(weights, TARGET_NAMES):
+        if masks[name].sum() == 0.0:
+            per_target[name] = 0.0
+            douts[name] = np.zeros_like(outputs[name])
+            continue
+        loss, dpred = _loss_fn(name)(outputs[name], batch.targets[name], masks[name])
+        per_target[name] = loss
+        total += w * loss
+        douts[name] = w * dpred
+    return total, per_target, douts
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +206,23 @@ class _GradientModel:
                 merged[k] = v
         return merged
 
+    def _build_heads(self, width: int, rng: np.random.Generator) -> list[Dense]:
+        self.heads = {
+            name: Dense(width, 1, activation, rng, f"head_{name}")
+            for name, activation in HEAD_ACTIVATIONS.items()
+        }
+        return list(self.heads.values())
+
+    def _heads_forward(self, x: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: head.forward(x)[..., 0] for name, head in self.heads.items()}
+
+    def _heads_backward(self, douts: Mapping[str, np.ndarray]) -> np.ndarray:
+        dx = None
+        for name, head in self.heads.items():
+            d = head.backward(douts[name][..., None])
+            dx = d if dx is None else dx + d
+        return dx
+
     def grads(self) -> dict[str, np.ndarray]:
         merged: dict[str, np.ndarray] = {}
         for layer in self._layers:
@@ -197,39 +246,10 @@ class _GradientModel:
         return {k: v.copy() for k, v in self.params().items()}
 
     def loss_and_grads(self, batch: Batch, weights: Sequence[float]) -> tuple[float, dict]:
-        """Weighted multitask loss; accumulates parameter gradients in place.
-
-        A target whose mask is empty in this batch (e.g. no observed absence
-        among length-1 traces) contributes zero loss and zero gradient.
-        """
-        outputs = self.forward(batch)
-        masks = _loss_masks(batch)
-        douts = {}
-        per_target = {}
-        total = 0.0
-        for w, name in zip(weights, TARGET_NAMES):
-            if masks[name].sum() == 0.0:
-                per_target[name] = 0.0
-                douts[name] = np.zeros_like(outputs[name])
-                continue
-            loss, dpred = _loss_fn(name)(outputs[name], batch.targets[name], masks[name])
-            per_target[name] = loss
-            total += w * loss
-            douts[name] = w * dpred
+        """masked_loss of a forward pass; accumulates parameter gradients in place."""
+        total, per_target, douts = masked_loss(self.forward(batch), batch, weights)
         self.backward(douts)
         return total, per_target
-
-    def batch_loss(self, batch: Batch, weights: Sequence[float]) -> tuple[float, float]:
-        """(weighted loss, valid-step count) without touching gradients."""
-        outputs = self.forward(batch)
-        masks = _loss_masks(batch)
-        total = 0.0
-        for w, name in zip(weights, TARGET_NAMES):
-            if masks[name].sum() == 0.0:
-                continue
-            loss, _ = _loss_fn(name)(outputs[name], batch.targets[name], masks[name])
-            total += w * loss
-        return total, float(batch.mask.sum())
 
 
 class TdMlp(_GradientModel):
@@ -250,14 +270,7 @@ class TdMlp(_GradientModel):
         width = arch.hidden_width
         for i in range(arch.layers):
             self.hidden.append(Dense(in_dim if i == 0 else width, width, "tanh", rng, f"mlp{i}"))
-        self.heads = {
-            "ch": Dense(width, 1, "sigmoid", rng, "head_ch"),
-            "st": Dense(width, 1, "softplus", rng, "head_st"),
-            "ss": Dense(width, 1, "softplus", rng, "head_ss"),
-            "ab": Dense(width, 1, "softplus", rng, "head_ab"),
-        }
-        self._layers = self.bank.layers() + self.hidden + list(self.heads.values())
-        self._cache_shape = None
+        self._layers = self.bank.layers() + self.hidden + self._build_heads(width, rng)
 
     def forward(self, batch: Batch) -> dict[str, np.ndarray]:
         B, T, _ = batch.behaviour.shape
@@ -267,14 +280,10 @@ class TdMlp(_GradientModel):
         x = np.concatenate([batch.behaviour, env, game_t], axis=-1)
         for layer in self.hidden:
             x = layer.forward(x)
-        self._cache_shape = (B, T)
-        return {name: head.forward(x)[..., 0] for name, head in self.heads.items()}
+        return self._heads_forward(x)
 
     def backward(self, douts: Mapping[str, np.ndarray]) -> None:
-        dx = None
-        for name, head in self.heads.items():
-            d = head.backward(douts[name][..., None])
-            dx = d if dx is None else dx + d
+        dx = self._heads_backward(douts)
         for layer in reversed(self.hidden):
             dx = layer.backward(dx)
         d_beh = dx[..., :5]
@@ -314,18 +323,12 @@ class MelchiorModel(_GradientModel):
         self.fusion = Dense(2 * branch + self.bank.game_width, arch.hidden_width, "tanh",
                             rng, "fusion")
         self.gru = GruLayer(arch.hidden_width, arch.d_z, rng, "salience")
-        self.heads = {
-            "ch": Dense(arch.d_z, 1, "sigmoid", rng, "head_ch"),
-            "st": Dense(arch.d_z, 1, "softplus", rng, "head_st"),
-            "ss": Dense(arch.d_z, 1, "softplus", rng, "head_ss"),
-            "ab": Dense(arch.d_z, 1, "softplus", rng, "head_ab"),
-        }
         self._layers = (
             self.bank.layers()
             + self.beh_branch
             + self.env_branch
             + [self.fusion, self.gru]
-            + list(self.heads.values())
+            + self._build_heads(arch.d_z, rng)
         )
         self._hidden = None
 
@@ -342,8 +345,7 @@ class MelchiorModel(_GradientModel):
         fused = self.fusion.forward(np.concatenate([beh, env, game_t], axis=-1))
         z = self.gru.forward(fused, mask=batch.mask)
         self._hidden = z
-        out = {name: head.forward(z)[..., 0] for name, head in self.heads.items()}
-        return out
+        return self._heads_forward(z)
 
     @property
     def hidden_states(self) -> np.ndarray:
@@ -353,11 +355,7 @@ class MelchiorModel(_GradientModel):
         return self._hidden
 
     def backward(self, douts: Mapping[str, np.ndarray]) -> None:
-        dz = None
-        for name, head in self.heads.items():
-            d = head.backward(douts[name][..., None])
-            dz = d if dz is None else dz + d
-        dfused = self.gru.backward(dz)
+        dfused = self.gru.backward(self._heads_backward(douts))
         dcat = self.fusion.backward(dfused)
         b = self.branch_width
         d_beh = dcat[..., :b]
@@ -545,12 +543,6 @@ class TdEnet:
             self.weights[name] = np.asarray(values[f"enet.{name}"], dtype=np.float64).copy()
 
 
-def enet_fit(traces: Sequence[FeaturizedTrace], vocabs: Vocabularies, lam: float,
-             l1_ratio: float, seed: int = 0) -> TdEnet:
-    """Convenience wrapper matching the estimator construction of the others."""
-    return TdEnet(vocabs, lam=lam, l1_ratio=l1_ratio, seed=seed).fit(traces)
-
-
 # ---------------------------------------------------------------------------
 # Training loop (gradient models)
 
@@ -581,7 +573,8 @@ def _epoch_loss(model, batches: Sequence[Batch], weights: Sequence[float]) -> fl
     total = 0.0
     count = 0.0
     for batch in batches:
-        loss, n = model.batch_loss(batch, weights)
+        loss, _, _ = masked_loss(model.forward(batch), batch, weights)
+        n = float(batch.mask.sum())
         total += loss * n
         count += n
     if count == 0:
@@ -673,57 +666,52 @@ class EvalReport:
         ]
 
 
-def _elementwise_terms(name: str, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    if name == "ch":
-        p = np.clip(pred, neural.BCE_CLIP, 1.0 - neural.BCE_CLIP)
-        return -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
-    diff = np.abs(pred - target)
-    return diff / (np.abs(pred) + np.abs(target) + neural.SMAPE_EPS)
-
-
 def evaluate_outputs(
     batches: Sequence[Batch],
     outputs_per_batch: Sequence[Mapping[str, np.ndarray]],
-    game_ids: Mapping[str, str],
 ) -> EvalReport:
-    """Aggregate per-target losses from precomputed outputs."""
+    """Aggregate per-target losses from precomputed outputs.
+
+    Each cell (game, session index) sums its terms with one bincount per
+    target over the valid steps of all batches, taken batch by batch and row
+    by row, so every cell adds its terms in trace and step order.
+    """
+    games = sorted({g for batch in batches for g in batch.game_ids})
+    game_code = {g: i for i, g in enumerate(games)}
+    width = max((batch.mask.shape[1] for batch in batches), default=0)
     overall_sum = {name: 0.0 for name in TARGET_NAMES}
     overall_cnt = {name: 0.0 for name in TARGET_NAMES}
-    cell_sum: dict[tuple, float] = {}
-    cell_cnt: dict[tuple, float] = {}
+    cell_keys: dict[str, list[np.ndarray]] = {name: [] for name in TARGET_NAMES}
+    cell_terms: dict[str, list[np.ndarray]] = {name: [] for name in TARGET_NAMES}
     for batch, outputs in zip(batches, outputs_per_batch):
         masks = _loss_masks(batch)
-        games = [game_ids[u] for u in batch.user_ids]
+        codes = np.asarray([game_code[g] for g in batch.game_ids], dtype=np.int64)
+        keys = codes[:, None] * width + np.arange(batch.mask.shape[1])
         for name in TARGET_NAMES:
-            terms = _elementwise_terms(name, outputs[name], batch.targets[name])
+            terms = _terms_fn(name)(outputs[name], batch.targets[name])
             m = masks[name]
             overall_sum[name] += float((terms * m).sum())
             overall_cnt[name] += float(m.sum())
-            for i, game in enumerate(games):
-                L = int(batch.lengths[i])
-                for t in range(L):
-                    if m[i, t] == 0.0:
-                        continue
-                    key = (game, t + 1, name)
-                    cell_sum[key] = cell_sum.get(key, 0.0) + float(terms[i, t])
-                    cell_cnt[key] = cell_cnt.get(key, 0.0) + 1.0
+            valid = m != 0.0
+            cell_keys[name].append(keys[valid])
+            cell_terms[name].append(terms[valid])
     if any(c == 0.0 for name, c in overall_cnt.items() if name != "ab"):
         raise ModelError("evaluation saw no valid steps")
     overall = {
         name: (overall_sum[name] / overall_cnt[name]) if overall_cnt[name] else 0.0
         for name in TARGET_NAMES
     }
-    cells = [
-        {
-            "game": game,
-            "session_index": idx,
-            "target": name,
-            "loss": cell_sum[key] / cell_cnt[key],
-            "count": int(cell_cnt[key]),
-        }
-        for key in sorted(cell_sum)
-        for game, idx, name in [key]
-    ]
+    cells = []
+    for name in TARGET_NAMES:
+        keys = np.concatenate(cell_keys[name])
+        sums = np.bincount(keys, weights=np.concatenate(cell_terms[name]))
+        counts = np.bincount(keys)
+        for key in np.flatnonzero(counts):
+            game, step = divmod(int(key), width)
+            count = int(counts[key])
+            cells.append({"game": games[game], "session_index": step + 1, "target": name,
+                          "loss": float(sums[key]) / count, "count": count})
+    cells.sort(key=lambda c: (c["game"], c["session_index"], c["target"]))
     return EvalReport(overall=overall, cells=cells)
 
 
@@ -733,8 +721,7 @@ def evaluate(model, traces: Sequence[FeaturizedTrace], batch_size: int = 64) -> 
         raise ModelError("evaluate requires a non-empty test split")
     batches = make_batches(traces, batch_size)
     outputs = [model.forward(batch) for batch in batches]
-    game_ids = {t.user_id: t.game_id for t in traces}
-    return evaluate_outputs(batches, outputs, game_ids)
+    return evaluate_outputs(batches, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -744,27 +731,22 @@ def evaluate(model, traces: Sequence[FeaturizedTrace], batch_size: int = 64) -> 
 def extract_embedding(
     model: MelchiorModel, traces: Sequence[FeaturizedTrace], batch_size: int = 64
 ) -> dict[str, np.ndarray]:
-    """Salience-layer activations per (user, step) from a plain forward pass."""
+    """Salience-layer activations per (user, step) from a plain forward pass.
+
+    The result is keyed by user, so a user with traces in several games is
+    rejected rather than keeping only one of them.
+    """
     out: dict[str, np.ndarray] = {}
     for batch in make_batches(traces, batch_size):
         model.forward(batch)
         z = model.hidden_states
         for i, user in enumerate(batch.user_ids):
+            if user in out:
+                raise ModelError(
+                    f"user {user} has more than one trace; embeddings are keyed by user"
+                )
             L = int(batch.lengths[i])
             out[user] = z[i, :L].copy()
-    return out
-
-
-def final_step_outputs(
-    model, traces: Sequence[FeaturizedTrace], batch_size: int = 64
-) -> dict[str, dict[str, float]]:
-    """Model outputs at each user's final observed session."""
-    out: dict[str, dict[str, float]] = {}
-    for batch in make_batches(traces, batch_size):
-        preds = model.forward(batch)
-        for i, user in enumerate(batch.user_ids):
-            last = int(batch.lengths[i]) - 1
-            out[user] = {name: float(preds[name][i, last]) for name in TARGET_NAMES}
     return out
 
 
@@ -775,7 +757,8 @@ def final_step_outputs(
 def save_model(model, path: str | Path) -> None:
     meta: dict = {"kind": model.kind, "seed": model.seed}
     if isinstance(model, TdEnet):
-        meta["enet"] = {"lam": model.lam, "l1_ratio": model.l1_ratio, "seed": model.seed}
+        meta["enet"] = {"lam": model.lam, "l1_ratio": model.l1_ratio, "seed": model.seed,
+                        "max_iter": model.max_iter}
     else:
         meta["arch"] = asdict(model.arch)
     neural.save_checkpoint(path, model.params(), meta)
@@ -787,9 +770,9 @@ def load_model(path: str | Path, vocabs: Vocabularies):
     if kind == "td_enet":
         model = TdEnet(vocabs, **meta["enet"])
     elif kind == "td_mlp":
-        model = TdMlp(vocabs, ArchConfig(**meta["arch"]))
+        model = TdMlp(vocabs, ArchConfig(**meta["arch"]), meta["seed"])
     elif kind == "melchior":
-        model = MelchiorModel(vocabs, ArchConfig(**meta["arch"]))
+        model = MelchiorModel(vocabs, ArchConfig(**meta["arch"]), meta["seed"])
     else:
         raise ModelError(f"unknown model kind {kind!r} in checkpoint")
     model.set_params(params)

@@ -245,18 +245,6 @@ class GruLayer:
             g[...] = 0.0
 
 
-def gru_step(params: Mapping[str, np.ndarray], x_t: np.ndarray, h_prev: np.ndarray,
-             name: str = "gru") -> np.ndarray:
-    """Single unbatched-or-batched gate update, for inspection and tests."""
-    z = sigmoid(x_t @ params[f"{name}.Wz"].T + h_prev @ params[f"{name}.Uz"].T
-                + params[f"{name}.bz"])
-    r = sigmoid(x_t @ params[f"{name}.Wr"].T + h_prev @ params[f"{name}.Ur"].T
-                + params[f"{name}.br"])
-    n = np.tanh(x_t @ params[f"{name}.Wn"].T + (r * h_prev) @ params[f"{name}.Un"].T
-                + params[f"{name}.bn"])
-    return z * h_prev + (1.0 - z) * n
-
-
 def _masked_mean_setup(pred: np.ndarray, target: np.ndarray,
                        mask: Optional[np.ndarray]) -> tuple[np.ndarray, float]:
     if mask is None:
@@ -273,6 +261,17 @@ def _masked_mean_setup(pred: np.ndarray, target: np.ndarray,
     return mask, count
 
 
+def bce_terms(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per-element binary cross entropy on predictions clipped to [1e-7, 1-1e-7]."""
+    p = np.clip(pred, BCE_CLIP, 1.0 - BCE_CLIP)
+    return -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
+
+
+def smape_terms(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per-element |p - t| / (|p| + |t| + 1e-12); the regulariser sends 0/0 to 0."""
+    return np.abs(pred - target) / (np.abs(pred) + np.abs(target) + SMAPE_EPS)
+
+
 def bce_loss(pred: np.ndarray, target: np.ndarray,
              mask: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
     """Masked binary cross entropy; predictions are clipped to [1e-7, 1-1e-7].
@@ -281,8 +280,7 @@ def bce_loss(pred: np.ndarray, target: np.ndarray,
     """
     mask, count = _masked_mean_setup(pred, target, mask)
     p = np.clip(pred, BCE_CLIP, 1.0 - BCE_CLIP)
-    terms = -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
-    loss = float((terms * mask).sum() / count)
+    loss = float((bce_terms(pred, target) * mask).sum() / count)
     inside = ((pred > BCE_CLIP) & (pred < 1.0 - BCE_CLIP)).astype(np.float64)
     dpred = mask * inside * (p - target) / (p * (1.0 - p)) / count
     return loss, dpred
@@ -292,13 +290,12 @@ def smape_loss(pred: np.ndarray, target: np.ndarray,
                mask: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
     """Masked symmetric mean absolute percentage error, bounded in [0, 1].
 
-    Per-step term |p - t| / (|p| + |t| + 1e-12); the regulariser sends 0/0
-    to 0.  Returns (loss, d loss / d pred).
+    Per-step term as in smape_terms.  Returns (loss, d loss / d pred).
     """
     mask, count = _masked_mean_setup(pred, target, mask)
     diff = pred - target
     denom = np.abs(pred) + np.abs(target) + SMAPE_EPS
-    terms = np.abs(diff) / denom
+    terms = smape_terms(pred, target)
     loss = float((terms * mask).sum() / count)
     dpred = mask * (np.sign(diff) * denom - terms * denom * np.sign(pred)) / (denom * denom)
     dpred /= count

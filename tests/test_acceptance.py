@@ -44,13 +44,13 @@ from salience_lab.models import (
     evaluate,
     extract_embedding,
     make_batches,
+    masked_loss,
     train,
 )
 from salience_lab.neural import Dense, Embedding, GruLayer, bce_loss, grad_check, smape_loss
 from salience_lab.telemetry import simulate_population
 from salience_lab.tuning import make_schedule
-import conftest
-from conftest import random_trace
+from helpers import ACCEPTANCE_LINES, random_trace
 
 SEEDS = (0, 1, 2)
 TARGETS = ("ch", "st", "ss", "ab")
@@ -59,7 +59,7 @@ TARGETS = ("ch", "st", "ss", "ab")
 def verdict(number: int, name: str, ok: bool, detail: str) -> None:
     line = f"ACCEPTANCE {number:02d} {'PASS' if ok else 'FAIL'} - {name}: {detail}"
     print(f"\n{line}")
-    conftest.ACCEPTANCE_LINES.append(line)
+    ACCEPTANCE_LINES.append(line)
     assert ok, f"criterion {number} ({name}): {detail}"
 
 
@@ -222,12 +222,13 @@ def test_criterion_1_gradient_suite():
             targets={name: rng.uniform(0.1, 0.9, size=(B, T)) for name in TARGETS},
             ab_mask=ab_mask,
             user_ids=["a", "b"],
+            game_ids=["g", "g"],
             lengths=np.array([3, 2]),
         )
         weights = (0.25, 0.25, 0.25, 0.25)
 
         def loss_fn():
-            return model.batch_loss(batch, weights)[0]
+            return masked_loss(model.forward(batch), batch, weights)[0]
 
         model.zero_grads()
         model.loss_and_grads(batch, weights)

@@ -14,6 +14,8 @@ from salience_lab.cli import (
     main,
     validate_config,
 )
+from salience_lab.features import load_dataset
+from salience_lab.telemetry import CSV_COLUMNS
 
 SMOKE = str(Path(__file__).resolve().parents[1] / "src/salience_lab/configs/smoke.json")
 
@@ -120,3 +122,30 @@ def test_bundled_configs_validate():
 def test_seed_flag_overrides(tmp_path):
     config = load_config(SMOKE, [], seed=42)
     assert config["seed"] == 42
+
+
+def test_user_in_two_games_stays_two_traces(tmp_path, capsys):
+    # u1 plays alpha (3 sessions) and beta (4 sessions); nine others play one game each.
+    sessions = {("u1", "alpha"): 3, ("u1", "beta"): 4}
+    for i in range(9):
+        sessions[(f"u{i + 2}", "alpha" if i % 2 else "beta")] = 2 + i % 3
+    rows = []
+    for (user, game), count in sessions.items():
+        start = 1_000 if game == "alpha" else 9_000
+        for k in range(count):
+            rows.append([user, game, start + 300 * k, "30.0", "20.0", "0.0", 6, 2, "eu"])
+    with (tmp_path / "telemetry.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(rows)
+
+    assert main(["--config", SMOKE, "--out", str(tmp_path), "featurize"]) == 0
+    split = load_dataset(tmp_path / "features")
+    u1 = sorted(((t.game_id, t.length) for t in split.train + split.test if t.user_id == "u1"))
+    assert u1 == [("alpha", 3), ("beta", 4)]
+
+    base = ["--config", SMOKE, "--out", str(tmp_path), "--set", "analysis.scope=all"]
+    assert main([*base, "--set", "models.melchior.epochs=1", "train", "--model", "melchior"]) == 0
+    capsys.readouterr()
+    assert main([*base, "embed"]) == 2
+    assert "user u1 has more than one trace" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from salience_lab.features import (
     save_dataset,
     split_users,
 )
-from conftest import make_trace, random_trace
+from helpers import make_trace, random_trace
 
 
 # -- inactivity threshold ----------------------------------------------------

@@ -19,16 +19,17 @@ from salience_lab.models import (
     evaluate,
     evaluate_outputs,
     extract_embedding,
-    final_step_outputs,
     load_model,
     make_batches,
+    masked_loss,
     save_model,
     train,
 )
-from salience_lab.neural import grad_check
+from salience_lab.neural import BCE_CLIP, SMAPE_EPS, grad_check
 from salience_lab.telemetry import GameSpec, simulate_population
 
 SMALL_ARCH = ArchConfig(hidden_width=16, d_z=8, layers=1, emb_dim=4)
+TARGETS = ("ch", "st", "ss", "ab")
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +186,7 @@ def test_full_model_gradcheck(dataset):
     weights = (0.25, 0.25, 0.25, 0.25)
 
     def loss_fn():
-        loss, _ = model.batch_loss(batch, weights)
+        loss, _, _ = masked_loss(model.forward(batch), batch, weights)
         return loss
 
     model.zero_grads()
@@ -275,7 +276,7 @@ def test_batch_of_single_session_traces_trains(dataset):
 def test_evaluate_perfect_predictor_zero_smape(dataset):
     batches = make_batches(dataset.test, 16)
     outputs = [dict(batch.targets) for batch in batches]
-    report = evaluate_outputs(batches, outputs, {t.user_id: t.game_id for t in dataset.test})
+    report = evaluate_outputs(batches, outputs)
     assert report.overall["st"] == 0.0
     assert report.overall["ss"] == 0.0
     assert report.overall["ab"] == 0.0
@@ -296,7 +297,7 @@ def test_evaluate_constant_half_churn_is_ln2(dataset):
         out = dict(batch.targets)
         out["ch"] = np.full_like(batch.targets["ch"], 0.5)
         outputs.append(out)
-    report = evaluate_outputs(batches, outputs, {t.user_id: t.game_id for t in keep})
+    report = evaluate_outputs(batches, outputs)
     assert report.overall["ch"] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -309,6 +310,64 @@ def test_evaluate_values_in_unit_interval(dataset):
         assert 0.0 <= value <= 1.0
     for cell in report.cells:
         assert 0.0 <= cell["loss"] <= 1.0
+
+
+def _reference_evaluate(batches, outputs_per_batch):
+    """Cell by cell in Python, in batch, row and step order: the reference for evaluate_outputs."""
+    overall_sum = dict.fromkeys(TARGETS, 0.0)
+    overall_cnt = dict.fromkeys(TARGETS, 0.0)
+    cell_sum: dict[tuple, float] = {}
+    cell_cnt: dict[tuple, float] = {}
+    for batch, outputs in zip(batches, outputs_per_batch):
+        masks = {name: batch.mask for name in TARGETS}
+        masks["ab"] = batch.mask * batch.ab_mask
+        for name in TARGETS:
+            pred, target = outputs[name], batch.targets[name]
+            if name == "ch":
+                p = np.clip(pred, BCE_CLIP, 1.0 - BCE_CLIP)
+                terms = -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
+            else:
+                terms = np.abs(pred - target) / (np.abs(pred) + np.abs(target) + SMAPE_EPS)
+            m = masks[name]
+            overall_sum[name] += float((terms * m).sum())
+            overall_cnt[name] += float(m.sum())
+            for i, game in enumerate(batch.game_ids):
+                for t in range(int(batch.lengths[i])):
+                    if m[i, t] == 0.0:
+                        continue
+                    key = (game, t + 1, name)
+                    cell_sum[key] = cell_sum.get(key, 0.0) + float(terms[i, t])
+                    cell_cnt[key] = cell_cnt.get(key, 0.0) + 1.0
+    overall = {
+        name: (overall_sum[name] / overall_cnt[name]) if overall_cnt[name] else 0.0
+        for name in TARGETS
+    }
+    cells = [
+        {"game": game, "session_index": idx, "target": name,
+         "loss": cell_sum[key] / cell_cnt[key], "count": int(cell_cnt[key])}
+        for key in sorted(cell_sum)
+        for game, idx, name in [key]
+    ]
+    return overall, cells
+
+
+def test_evaluate_outputs_equals_reference_loop(dataset):
+    model = MelchiorModel(dataset.vocabs, SMALL_ARCH, seed=4)
+    train(model, dataset, TrainConfig(epochs=2, batch_size=8, seed=4))
+    no_absence = make_batches(dataset.train[:5], 5)[0]
+    no_absence.ab_mask[...] = 0.0
+    batches = make_batches(dataset.test, 4) + make_batches(dataset.train, 16) + [no_absence]
+    assert len({g for b in batches for g in b.game_ids}) == 3
+    assert len({b.mask.shape[1] for b in batches}) > 3
+    outputs = [model.forward(batch) for batch in batches]
+    overall, cells = _reference_evaluate(batches, outputs)
+    report = evaluate_outputs(batches, outputs)
+    assert report.overall == overall
+    assert report.cells == cells
+    ab_only = evaluate_outputs([no_absence], [outputs[-1]])
+    assert ab_only.overall == _reference_evaluate([no_absence], [outputs[-1]])[0]
+    assert ab_only.overall["ab"] == 0.0
+    assert not [c for c in ab_only.cells if c["target"] == "ab"]
 
 
 def test_evaluate_empty_split_errors(dataset):
@@ -350,14 +409,6 @@ def test_extract_embedding_causal_prefix(dataset):
     assert np.allclose(z_full[:cut], z_cut)
 
 
-def test_final_step_outputs_shapes(dataset):
-    model = MelchiorModel(dataset.vocabs, SMALL_ARCH, seed=0)
-    outs = final_step_outputs(model, dataset.test)
-    assert set(outs.keys()) == {t.user_id for t in dataset.test}
-    for values in outs.values():
-        assert set(values) == {"ch", "st", "ss", "ab"}
-
-
 # -- persistence ---------------------------------------------------------------------------
 
 
@@ -365,11 +416,15 @@ def test_final_step_outputs_shapes(dataset):
 def test_model_save_load_round_trip(tmp_path, dataset, kind):
     model = build_model(kind, dataset.vocabs, SMALL_ARCH, seed=5)
     if kind == "td_enet":
+        model.max_iter = 200
         model.fit(dataset.train[:10])
     path = tmp_path / f"{kind}.json"
     save_model(model, path)
     loaded = load_model(path, dataset.vocabs)
     assert loaded.kind == kind
+    assert loaded.seed == 5
+    if kind == "td_enet":
+        assert loaded.max_iter == 200
     batch = make_batches(dataset.test[:4], 4)[0]
     a = model.forward(batch)
     b = loaded.forward(batch)

@@ -14,7 +14,6 @@ from salience_lab.neural import (
     bce_loss,
     clip_gradients,
     grad_check,
-    gru_step,
     load_checkpoint,
     save_checkpoint,
     sigmoid,
@@ -128,7 +127,7 @@ def test_gru_zero_parameters_halve_state():
         p[...] = 0.0
     h = np.array([[0.4, -1.0, 2.0]])
     x = np.array([[0.7, 0.1]])
-    assert np.allclose(gru_step(gru.params, x, h), 0.5 * h)
+    assert np.allclose(gru.forward(x[:, None, :], h0=h)[:, 0], 0.5 * h)
 
 
 def test_gru_causality():
