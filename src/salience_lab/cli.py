@@ -259,6 +259,9 @@ def _build_and_train(config: dict, split: DatasetSplit, kind: str):
             max_iter=int(section.get("max_iter", 1200)),
         )
         model.fit(split.train)
+        for target, (iterations, converged) in model.convergence.items():
+            ending = "met tol" if converged else f"stopped at max_iter={model.max_iter}"
+            print(f"train: td_enet {target}: {iterations} iterations, {ending}")
         history = []
     else:
         model = models.build_model(kind, split.vocabs, arch, seed=seed)

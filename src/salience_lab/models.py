@@ -377,18 +377,27 @@ def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
-def _spectral_norm_sq(X: np.ndarray, iters: int = 60) -> float:
-    # Power iteration on X^T X with a deterministic start vector.
-    v = np.ones(X.shape[1]) / math.sqrt(X.shape[1])
+def _spectral_norm_sq(gram: np.ndarray, iters: int = 60) -> float:
+    # Power iteration on the Gram matrix X^T X with a deterministic start vector.
+    v = np.ones(gram.shape[1]) / math.sqrt(gram.shape[1])
     est = 0.0
     for _ in range(iters):
-        w = X.T @ (X @ v)
+        w = gram @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         v = w / norm
         est = norm
     return est
+
+
+@dataclass(frozen=True)
+class EnetFit:
+    """Weights of one elastic-net solve and how its iteration ended."""
+
+    weights: np.ndarray
+    iterations: int
+    converged: bool  # the last iteration moved no weight by tol or more
 
 
 def enet_solve(
@@ -400,62 +409,81 @@ def enet_solve(
     fit_intercept: bool = True,
     tol: float = 1e-8,
     max_iter: int = 5000,
-) -> np.ndarray:
+) -> EnetFit:
     """Accelerated proximal gradient for the elastic-net problem.
 
     Minimises 0.5 * ||X w - y||^2 (or the summed logistic cross entropy of
     sigmoid(X w) for loss='bce') plus lam * (l1_ratio * ||w||_1
     + 0.5 * (1 - l1_ratio) * ||w||^2).  The intercept, when fitted, is an
-    extra unpenalised coordinate.  Returns the weight vector (intercept
-    last when fitted).
+    extra unpenalised coordinate.  The weights have one entry per column of
+    X, intercept last when fitted.
+
+    Only the columns of X with a non-zero entry are solved for.  An all-zero
+    column has zero gradient, so its weight stays at 0 under the penalty and
+    the live columns reach the same fixed point as the full problem.  For the
+    squared loss the gradient is X^T X w - X^T y, with both products formed
+    once (the covariance updates of Friedman, Hastie & Tibshirani 2010).
     """
+    if loss not in ("squared", "bce"):
+        raise ModelError(f"unknown enet loss {loss!r}, expected 'squared' or 'bce'")
     if lam < 0:
         raise ModelError(f"penalty lam must be >= 0, got {lam}")
     if not 0.0 <= l1_ratio <= 1.0:
         raise ModelError(f"l1_ratio must lie in [0, 1], got {l1_ratio}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    n, width = X.shape
+    live = np.flatnonzero(X.any(axis=0))
+    X = X[:, live]
     if fit_intercept:
-        X = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
-    n, d = X.shape
+        X = np.concatenate([X, np.ones((n, 1))], axis=1)
+        live = np.append(live, width)
+    d = X.shape[1]
     penalised = np.ones(d)
     if fit_intercept:
         penalised[-1] = 0.0
+    ridge = lam * (1.0 - l1_ratio) * penalised
 
-    sq_norm = _spectral_norm_sq(X) * 1.02 + 1e-12
+    gram = X.T @ X
+    sq_norm = _spectral_norm_sq(gram) * 1.02 + 1e-12
     L = sq_norm if loss == "squared" else sq_norm / 4.0
     L += lam * (1.0 - l1_ratio)
     l1 = lam * l1_ratio
+    xty = X.T @ y
 
     def smooth_grad(w: np.ndarray) -> np.ndarray:
         if loss == "squared":
-            resid = X @ w - y
-        elif loss == "bce":
-            resid = neural.sigmoid(X @ w) - y
+            data = gram @ w - xty
         else:
-            raise ModelError(f"unknown enet loss {loss!r}")
-        return X.T @ resid + lam * (1.0 - l1_ratio) * penalised * w
+            data = X.T @ (neural.sigmoid(X @ w) - y)
+        return data + ridge * w
 
     w = np.zeros(d)
     z = w.copy()
     t_acc = 1.0
-    for _ in range(max_iter):
+    iterations, converged = 0, False
+    while iterations < max_iter and not converged:
         step = z - smooth_grad(z) / L
         w_new = np.where(penalised > 0, soft_threshold(step, l1 / L), step)
         if not np.all(np.isfinite(w_new)):
-            raise ModelError("elastic-net iteration produced a non-finite loss")
+            raise ModelError("elastic-net iteration produced non-finite weights")
         t_new = (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
         z = w_new + ((t_acc - 1.0) / t_new) * (w_new - w)
-        change = float(np.max(np.abs(w_new - w)))
+        converged = float(np.max(np.abs(w_new - w), initial=0.0)) < tol
         w = w_new
         t_acc = t_new
-        if change < tol:
-            break
-    return w
+        iterations += 1
+    weights = np.zeros(width + int(fit_intercept))
+    weights[live] = w
+    return EnetFit(weights, iterations, converged)
 
 
 class TdEnet:
-    """Per-target elastic-net linear model on one-hot context; order 1."""
+    """Per-target elastic-net linear model on one-hot context; order 1.
+
+    The design row of a step is its 5 behaviour features, then one one-hot
+    block each for hour, weekday, yearday, region and game.
+    """
 
     kind = "td_enet"
 
@@ -467,6 +495,8 @@ class TdEnet:
         self.seed = seed
         self.max_iter = max_iter
         self.weights: dict[str, np.ndarray] = {}
+        #: target -> (iterations run, whether tol was met) of the last fit
+        self.convergence: dict[str, tuple[int, bool]] = {}
         self._onehot_sizes = (
             vocabs.hour.size,
             vocabs.weekday.size,
@@ -474,61 +504,75 @@ class TdEnet:
             vocabs.region.size,
             vocabs.game.size,
         )
+        self._block_starts = 5 + np.cumsum((0,) + self._onehot_sizes[:-1])
 
     @property
     def feature_width(self) -> int:
         return 5 + sum(self._onehot_sizes)
 
-    def _design_rows(self, batch: Batch) -> np.ndarray:
-        B, T, _ = batch.behaviour.shape
-        blocks = [batch.behaviour]
-        for j, size in enumerate(self._onehot_sizes[:4]):
-            eye = np.eye(size)
-            blocks.append(eye[batch.env_idx[..., j]])
-        eye_game = np.eye(self._onehot_sizes[4])
-        game = eye_game[batch.game_idx]  # (B, size)
-        blocks.append(np.broadcast_to(game[:, None, :], (B, T, game.shape[-1])).copy())
-        return np.concatenate(blocks, axis=-1)
+    def _hot_columns(self, env_idx: np.ndarray, game_idx: np.ndarray) -> np.ndarray:
+        """Design column of each one-hot block's 1 per step: (..., 5) int64.
 
-    def fit(self, traces: Sequence[FeaturizedTrace], batch_size: int = 256) -> "TdEnet":
-        batches = make_batches(traces, batch_size)
-        rows = []
-        targs = {name: [] for name in TARGET_NAMES}
-        for batch in batches:
-            design = self._design_rows(batch)
-            masks = _loss_masks(batch)
-            valid = batch.mask > 0
-            rows.append(design[valid])
-            for name in TARGET_NAMES:
-                targs[name].append((batch.targets[name][valid], masks[name][valid]))
-        X = np.concatenate(rows, axis=0)
+        env_idx is (..., 4) and game_idx has the same leading shape.
+        """
+        return np.concatenate([env_idx, game_idx[..., None]], axis=-1) + self._block_starts
+
+    def _design(self, behaviour: np.ndarray, hot: np.ndarray) -> np.ndarray:
+        """Design matrix of the rows with behaviour (n, 5) and hot columns (n, 5).
+
+        Column-major, so the pages of the one-hot columns that no row uses are
+        never written and take no memory.
+        """
+        X = np.zeros((len(behaviour), self.feature_width), order="F")
+        X[:, :5] = behaviour
+        X[np.arange(len(X))[:, None], hot] = 1.0
+        return X
+
+    def fit(self, traces: Sequence[FeaturizedTrace]) -> "TdEnet":
+        if not traces:
+            raise ModelError("TdEnet.fit requires at least one trace")
+        behaviour = np.concatenate([t.behaviour for t in traces])
+        hot = self._hot_columns(
+            np.concatenate([t.env_idx for t in traces]),
+            np.repeat([t.game_idx for t in traces], [t.length for t in traces]),
+        )
+        targets = {
+            "ch": np.concatenate([t.churn for t in traces]),
+            "st": np.concatenate([t.survival_time for t in traces]),
+            "ss": np.concatenate([t.survival_sessions for t in traces]),
+            "ab": np.concatenate([t.absence for t in traces]),
+        }
+        # Absence is fitted where it is observed only; with no such row its weights are 0.
+        observed = np.concatenate([t.ab_mask for t in traces]) > 0
+        X_all = self._design(behaviour, hot)
+        X_observed = self._design(behaviour[observed], hot[observed])
         for name in TARGET_NAMES:
-            y = np.concatenate([t for t, _ in targs[name]])
-            m = np.concatenate([m for _, m in targs[name]])
-            X_t = X[m > 0]
-            y_t = y[m > 0]
-            if X_t.shape[0] == 0:
-                self.weights[name] = np.zeros(self.feature_width + 1)
-                continue
-            self.weights[name] = enet_solve(
-                X_t,
-                y_t,
+            if name == "ab":
+                X, y = X_observed, targets[name][observed]
+            else:
+                X, y = X_all, targets[name]
+            fit = enet_solve(
+                X,
+                y,
                 self.lam,
                 self.l1_ratio,
                 loss="bce" if name == "ch" else "squared",
                 fit_intercept=True,
                 max_iter=self.max_iter,
             )
+            self.weights[name] = fit.weights
+            self.convergence[name] = (fit.iterations, fit.converged)
         return self
 
     def forward(self, batch: Batch) -> dict[str, np.ndarray]:
         if not self.weights:
             raise ModelError("TdEnet.forward before fit")
-        design = self._design_rows(batch)
+        game_idx = np.broadcast_to(batch.game_idx[:, None], batch.mask.shape)
+        hot = self._hot_columns(batch.env_idx, game_idx)
         out = {}
         for name in TARGET_NAMES:
             w = self.weights[name]
-            pred = design @ w[:-1] + w[-1]
+            pred = batch.behaviour @ w[:5] + w[hot].sum(axis=-1) + w[-1]
             if name == "ch":
                 out[name] = neural.sigmoid(pred)
             else:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,19 @@ def test_evaluate_emits_twelve_rows(pipeline_dir):
     assert {r["target"] for r in rows} == {"ch", "st", "ss", "ab"}
     for r in rows:
         assert 0.0 <= float(r["loss"]) <= 1.0
+
+
+def test_train_td_enet_reports_each_targets_iterations(pipeline_dir, capsys):
+    argv = ["--config", SMOKE, "--out", str(pipeline_dir), "train", "--model", "td_enet"]
+    assert main(argv) == 0
+    pattern = re.compile(
+        r"train: td_enet (\w+): (\d+) iterations, (met tol|stopped at max_iter=300)")
+    lines = capsys.readouterr().out.splitlines()
+    reports = [m.groups() for m in map(pattern.fullmatch, lines) if m]
+    assert [target for target, _, _ in reports] == ["ch", "st", "ss", "ab"]
+    for _, iterations, ending in reports:
+        assert 1 <= int(iterations) <= 300
+        assert ending == "met tol" or int(iterations) == 300
 
 
 def test_rerun_is_idempotent(pipeline_dir):

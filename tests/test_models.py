@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from salience_lab import models
 from salience_lab.features import build_dataset
 from salience_lab.models import (
     ArchConfig,
@@ -25,7 +26,7 @@ from salience_lab.models import (
     save_model,
     train,
 )
-from salience_lab.neural import BCE_CLIP, SMAPE_EPS, grad_check
+from salience_lab.neural import BCE_CLIP, SMAPE_EPS, grad_check, sigmoid
 from salience_lab.telemetry import GameSpec, simulate_population
 
 SMALL_ARCH = ArchConfig(hidden_width=16, d_z=8, layers=1, emb_dim=4)
@@ -53,7 +54,7 @@ def test_enet_matches_least_squares_when_unpenalised():
     w_true = rng.normal(size=6)
     y = X @ w_true + 0.01 * rng.normal(size=40)
     w = enet_solve(X, y, lam=0.0, l1_ratio=0.5, fit_intercept=False, max_iter=20_000,
-                   tol=1e-12)
+                   tol=1e-12).weights
     w_ref, *_ = np.linalg.lstsq(X, y, rcond=None)
     assert np.max(np.abs(w - w_ref)) < 1e-6
 
@@ -64,7 +65,7 @@ def test_enet_ridge_matches_closed_form():
     y = rng.normal(size=50)
     lam = 2.5
     w = enet_solve(X, y, lam=lam, l1_ratio=0.0, fit_intercept=False, max_iter=20_000,
-                   tol=1e-12)
+                   tol=1e-12).weights
     w_ref = np.linalg.solve(X.T @ X + lam * np.eye(5), X.T @ y)
     assert np.max(np.abs(w - w_ref)) < 1e-6
 
@@ -73,7 +74,7 @@ def test_enet_full_shrinkage_with_large_l1():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(30, 4))
     y = rng.normal(size=30)
-    w = enet_solve(X, y, lam=1e6, l1_ratio=1.0, fit_intercept=True)
+    w = enet_solve(X, y, lam=1e6, l1_ratio=1.0, fit_intercept=True).weights
     assert np.all(w[:-1] == 0.0)  # every non-intercept weight exactly zero
 
 
@@ -82,6 +83,161 @@ def test_enet_rejects_bad_penalty():
         enet_solve(np.eye(2), np.ones(2), lam=-1.0, l1_ratio=0.5)
     with pytest.raises(ModelError):
         enet_solve(np.eye(2), np.ones(2), lam=1.0, l1_ratio=2.0)
+
+
+def test_enet_rejects_unknown_loss_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("enet_solve started solving before checking its loss")
+
+    monkeypatch.setattr(models, "_spectral_norm_sq", no_work)
+    with pytest.raises(ModelError, match="bogus"):
+        enet_solve(np.eye(2), np.ones(2), lam=1.0, l1_ratio=0.5, loss="bogus")
+
+
+def test_enet_non_finite_weights_are_named():
+    with np.errstate(invalid="ignore"), pytest.raises(ModelError, match="non-finite weights"):
+        enet_solve(np.eye(2), np.array([np.inf, 1.0]), lam=1.0, l1_ratio=0.5)
+
+
+@pytest.mark.parametrize("loss", ["squared", "bce"])
+def test_enet_zero_column_keeps_zero_weight(loss):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, 5))
+    y = X @ rng.normal(size=5) + 0.1 * rng.normal(size=40)
+    if loss == "bce":
+        y = (y > 0).astype(float)
+    with_zero = np.insert(X, 2, 0.0, axis=1)
+    fit = enet_solve(with_zero, y, lam=0.5, l1_ratio=0.5, loss=loss, max_iter=400)
+    plain = enet_solve(X, y, lam=0.5, l1_ratio=0.5, loss=loss, max_iter=400)
+    assert fit.weights.shape == (7,)
+    assert fit.weights[2] == 0.0
+    assert np.array_equal(np.delete(fit.weights, 2), plain.weights)
+    assert (fit.iterations, fit.converged) == (plain.iterations, plain.converged)
+    ref = _reference_enet_solve(with_zero, y, 0.5, 0.5, loss, max_iter=400)
+    assert np.max(np.abs(fit.weights - ref)) < 1e-9
+
+
+def test_enet_reports_iterations_and_convergence():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(30, 3))
+    y = rng.normal(size=30)
+    converged = enet_solve(X, y, lam=0.1, l1_ratio=0.5, max_iter=10_000)
+    assert converged.converged and 1 <= converged.iterations < 10_000
+    capped = enet_solve(X, y, lam=0.1, l1_ratio=0.5, max_iter=3)
+    assert (capped.iterations, capped.converged) == (3, False)
+
+
+# The dense design and the dense FISTA that TdEnet ran before it solved only the
+# live columns; the tests hold the current solver and forward pass to them.
+
+
+def _reference_design_rows(model: TdEnet, batch: Batch) -> np.ndarray:
+    B, T, _ = batch.behaviour.shape
+    blocks = [batch.behaviour]
+    for j, size in enumerate(model._onehot_sizes[:4]):
+        eye = np.eye(size)
+        blocks.append(eye[batch.env_idx[..., j]])
+    eye_game = np.eye(model._onehot_sizes[4])
+    game = eye_game[batch.game_idx]  # (B, size)
+    blocks.append(np.broadcast_to(game[:, None, :], (B, T, game.shape[-1])).copy())
+    return np.concatenate(blocks, axis=-1)
+
+
+def _reference_spectral_norm_sq(X, iters=60):
+    v = np.ones(X.shape[1]) / math.sqrt(X.shape[1])
+    est = 0.0
+    for _ in range(iters):
+        w = X.T @ (X @ v)
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+        est = norm
+    return est
+
+
+def _reference_enet_solve(X, y, lam, l1_ratio, loss, max_iter, tol=1e-8):
+    X = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
+    d = X.shape[1]
+    penalised = np.ones(d)
+    penalised[-1] = 0.0
+    sq_norm = _reference_spectral_norm_sq(X) * 1.02 + 1e-12
+    L = sq_norm if loss == "squared" else sq_norm / 4.0
+    L += lam * (1.0 - l1_ratio)
+    l1 = lam * l1_ratio
+
+    def smooth_grad(w):
+        resid = X @ w - y if loss == "squared" else sigmoid(X @ w) - y
+        return X.T @ resid + lam * (1.0 - l1_ratio) * penalised * w
+
+    w = np.zeros(d)
+    z = w.copy()
+    t_acc = 1.0
+    for _ in range(max_iter):
+        step = z - smooth_grad(z) / L
+        w_new = np.where(penalised > 0, np.sign(step) * np.maximum(np.abs(step) - l1 / L, 0.0),
+                         step)
+        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
+        z = w_new + ((t_acc - 1.0) / t_new) * (w_new - w)
+        change = float(np.max(np.abs(w_new - w)))
+        w = w_new
+        t_acc = t_new
+        if change < tol:
+            break
+    return w
+
+
+def _reference_td_enet_problems(model: TdEnet, traces):
+    """Per target (X, y) of the dense design, built batch by batch as TdEnet.fit was."""
+    rows, targs, masks = [], {n: [] for n in TARGETS}, []
+    for batch in make_batches(traces, 256):
+        valid = batch.mask > 0
+        rows.append(_reference_design_rows(model, batch)[valid])
+        masks.append(batch.ab_mask[valid])
+        for name in TARGETS:
+            targs[name].append(batch.targets[name][valid])
+    X = np.concatenate(rows)
+    observed = np.concatenate(masks) > 0
+    problems = {}
+    for name in TARGETS:
+        y = np.concatenate(targs[name])
+        keep = observed if name == "ab" else np.ones(len(y), dtype=bool)
+        problems[name] = (X[keep], y[keep])
+    return problems
+
+
+def test_td_enet_matches_dense_reference(dataset):
+    # FISTA stops at max_iter here, so the weights are an iterate, not the optimum.  An
+    # iterate is comparable at 1e-9 only while the reference itself is: after a support
+    # change its last digits follow summation order (at lam=1e-2 the reference's own ab
+    # weights move 1.2e-8 when the rows are permuted).  At lam=1e-3 a permutation moves
+    # them at most 2e-12.
+    model = TdEnet(dataset.vocabs, lam=1e-3, l1_ratio=0.5, max_iter=1200).fit(dataset.train)
+    for name, (X, y) in _reference_td_enet_problems(model, dataset.train).items():
+        loss = "bce" if name == "ch" else "squared"
+        ref = _reference_enet_solve(X, y, 1e-3, 0.5, loss, max_iter=1200)
+        w = model.weights[name]
+        assert w.shape == ref.shape == (model.feature_width + 1,)
+        assert np.max(np.abs(w - ref)) < 1e-9, name
+        dead = np.append(~np.any(X != 0.0, axis=0), False)
+        assert dead.sum() > 100  # most yearday columns never occur in the train split
+        assert np.all(w[dead] == 0.0), name
+        assert model.convergence[name] == (1200, False)
+
+
+def test_td_enet_forward_equals_dense_design_product(dataset):
+    """Gathered one-hot weights give the dense product up to summation order."""
+    model = TdEnet(dataset.vocabs, lam=1e-2, l1_ratio=0.5, max_iter=300).fit(dataset.train)
+    for batch in make_batches(dataset.test, 16):
+        design = _reference_design_rows(model, batch)
+        out = model.forward(batch)
+        for name in TARGETS:
+            w = model.weights[name]
+            pred = design @ w[:-1] + w[-1]
+            expected = sigmoid(pred) if name == "ch" else np.maximum(pred, 0.0)
+            # At most 11 non-zero terms: their rounding is bounded by 16 eps of their size.
+            bound = 16 * np.finfo(np.float64).eps * (np.abs(design) @ np.abs(w[:-1]) + abs(w[-1]))
+            assert np.all(np.abs(out[name] - expected) <= bound), name
 
 
 def test_td_enet_fits_and_predicts(dataset):
