@@ -1,8 +1,9 @@
 """Inspection of learned representations: projection, partitioning, profiling.
 
-PCA supplies the 2-D view, mini-batch k-means (with a full-batch Lloyd
-fallback and oracle) partitions the embedding space, the elbow rule picks
-the partition count, and partition profiles trace the unscaled behaviour
+PCA supplies the 2-D view; the elbow rule picks the partition count from
+full-batch Lloyd k-means fits and keeps the Lloyd partition at that count,
+which is the one `cluster` writes; mini-batch k-means is kept for callers
+with far more points; and partition profiles trace the unscaled behaviour
 metrics per session index with normal-approximation confidence bands.
 """
 
@@ -202,6 +203,7 @@ class ElbowReport:
     inertias: list[float]
     marginal_gains: list[float]
     chosen_k: int
+    model: KMeansModel  # the Lloyd fit at chosen_k, whose inertia is listed
 
     def to_json(self) -> str:
         return json.dumps(
@@ -221,8 +223,9 @@ def elbow_select(vectors: np.ndarray, k_range: Sequence[int], seed: int = 0,
     """Full-batch refits per k; stop where the marginal gain collapses.
 
     The chosen k is the smallest whose inertia reduction to the next k falls
-    below 10% of the first reduction in the range.  Warm-starting each k from
-    the previous solution plus the worst-served point keeps the inertia curve
+    below 10% of the first reduction in the range; the report keeps the
+    lowest-inertia fit at that k.  Warm-starting each k from the previous
+    solution plus the worst-served point keeps the inertia curve
     non-increasing.
     """
     ks = list(k_range)
@@ -256,17 +259,13 @@ def elbow_select(vectors: np.ndarray, k_range: Sequence[int], seed: int = 0,
         best_models.append(model)
 
     gains = [a - b for a, b in zip(inertias, inertias[1:])]
-    chosen = ks[-1]
-    if gains:
-        base = gains[0]
-        for i, gain in enumerate(gains):
-            if gain < 0.1 * base:
-                chosen = ks[i]
-                break
-    else:
-        chosen = ks[0]
+    chosen = len(ks) - 1
+    for i, gain in enumerate(gains):
+        if gain < 0.1 * gains[0]:
+            chosen = i
+            break
     return ElbowReport(k_values=ks, inertias=inertias, marginal_gains=gains,
-                       chosen_k=chosen)
+                       chosen_k=ks[chosen], model=best_models[chosen])
 
 
 # ---------------------------------------------------------------------------

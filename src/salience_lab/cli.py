@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import inspect
 import json
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -33,49 +34,155 @@ class CliError(ValueError):
 # Configuration
 
 
-def default_config() -> dict:
-    return json.loads(
-        resources.files("salience_lab.configs").joinpath("default.json").read_text("utf-8")
-    )
-
-
 def bundled_config(name: str) -> dict:
     return json.loads(
         resources.files("salience_lab.configs").joinpath(f"{name}.json").read_text("utf-8")
     )
 
 
-def _require(config: dict, path: str, kind=None):
+def _known(section: dict, prefix: str, keys) -> None:
+    for key in section:
+        if key not in keys:
+            raise CliError(f"unknown config field '{prefix}{key}'")
+
+
+def _section(config: dict, path: str) -> dict:
+    """The object at a dotted path of config; an absent one is empty."""
     node = config
     for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise CliError(f"config is missing required field '{path}'")
-        node = node[part]
-    if kind is not None and not isinstance(node, kind):
-        raise CliError(f"config field '{path}' must be {kind.__name__}, got {type(node).__name__}")
+        node = node.get(part, {})
+        if not isinstance(node, dict):
+            raise CliError(f"config field '{path}' must be an object")
     return node
 
 
-def validate_config(config: dict) -> dict:
-    _require(config, "seed", int)
-    _require(config, "simulate.calendar_start", int)
-    _require(config, "simulate.horizon_days", int)
-    _require(config, "simulate.players_per_game", int)
-    games = _require(config, "simulate.games", list)
-    if not games:
+def _settings(factory, section: dict, path: str, reserved: Sequence[str] = ()) -> dict:
+    """The keyword arguments of factory that the config section at path holds.
+
+    Each key must name a parameter of factory outside `reserved` (the ones
+    the CLI passes itself or that no run sets), and a parameter without a
+    default must be present; every other default is factory's own.  Lists
+    become tuples, an int parameter takes a whole number and a float one any
+    number, and a parameter whose type is a dataclass is built from its own
+    section.
+    """
+    if not isinstance(section, dict):
+        raise CliError(f"config field '{path}' must be an object")
+    params = {name: p for name, p in inspect.signature(factory, eval_str=True).parameters.items()
+              if name not in reserved}
+    _known(section, f"{path}.", params)
+    missing = [f"'{path}.{n}'" for n, p in params.items()
+               if p.default is p.empty and n not in section]
+    if missing:
+        raise CliError(f"config is missing required field(s) {', '.join(missing)}")
+    kwargs = {}
+    for key, value in section.items():
+        kind = params[key].annotation
+        if kind in (int, float):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or kind(value) != value:
+                raise CliError(f"config field '{path}.{key}' must be {kind.__name__}, "
+                               f"got {value!r}")
+            value = kind(value)
+        elif dataclasses.is_dataclass(kind):
+            value = kind(**_settings(kind, value, f"{path}.{key}"))
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
+    return kwargs
+
+
+@dataclasses.dataclass(frozen=True)
+class TuneConfig:
+    """The `tune` section: Hyperband's budget R and ratio eta, trial batch size, space."""
+
+    R: int = 27
+    eta: int = 3
+    batch_size: int = 32
+    space: tuning.SearchSpace = tuning.SearchSpace()
+
+
+@dataclasses.dataclass(frozen=True)
+class AnalysisConfig:
+    """The `analysis` section: the users `embed` and `cluster` take, and the k range."""
+
+    k_range: tuple[int, int] = (2, 6)  # inclusive
+    scope: str = "test"  # "test": the test split; "all": train and test
+
+    def __post_init__(self):
+        if self.scope not in ("test", "all"):
+            raise CliError(f"config field 'analysis.scope' must be 'test' or 'all', "
+                           f"got {self.scope!r}")
+        if not (isinstance(self.k_range, tuple) and len(self.k_range) == 2
+                and all(isinstance(k, int) for k in self.k_range)):
+            raise CliError(f"config field 'analysis.k_range' must be [lo, hi] of ints, "
+                           f"got {self.k_range!r}")
+
+
+def _simulation(config: dict) -> dict:
+    """Keyword arguments of telemetry.simulate_population."""
+    kwargs = _settings(telemetry.simulate_population, _section(config, "simulate"),
+                       "simulate", ("seed",))
+    if not isinstance(kwargs["games"], tuple) or not kwargs["games"]:
         raise CliError("config field 'simulate.games' must list at least one game")
-    for i, game in enumerate(games):
-        for key in ("game_id", "base_quality"):
-            if key not in game:
-                raise CliError(f"config field 'simulate.games[{i}].{key}' is missing")
-    ratio = _require(config, "featurize.ratio")
-    if not 0.0 < ratio < 1.0:
+    kwargs["games"] = [
+        telemetry.GameSpec(**_settings(telemetry.GameSpec, game, f"simulate.games[{i}]"))
+        for i, game in enumerate(kwargs["games"])
+    ]
+    for game in kwargs["games"]:
+        game.validate()
+    return {**kwargs, "seed": config["seed"]}
+
+
+def _featurization(config: dict) -> dict:
+    """Keyword arguments of features.build_dataset after its traces."""
+    kwargs = _settings(build_dataset, _section(config, "featurize"), "featurize",
+                       ("traces", "seed"))
+    if "ratio" in kwargs and not 0.0 < kwargs["ratio"] < 1.0:
         raise CliError("config field 'featurize.ratio' must lie in (0, 1)")
-    _require(config, "models.arch", dict)
-    for kind in MODEL_KINDS:
-        _require(config, f"models.{kind}", dict)
-    _require(config, "tune", dict)
-    _require(config, "analysis", dict)
+    return {**kwargs, "seed": config["seed"]}
+
+
+def _arch_config(config: dict) -> ArchConfig:
+    return ArchConfig(**_settings(ArchConfig, _section(config, "models.arch"), "models.arch"))
+
+
+def _enet_settings(config: dict) -> dict:
+    """Keyword arguments of models.TdEnet after its vocabularies."""
+    kwargs = _settings(models.TdEnet, _section(config, "models.td_enet"), "models.td_enet",
+                       ("vocabs", "seed"))
+    return {**kwargs, "seed": config["seed"]}
+
+
+def _train_config(config: dict, kind: str) -> TrainConfig:
+    path = f"models.{kind}"
+    return TrainConfig(seed=config["seed"], **_settings(
+        TrainConfig, _section(config, path), path, ("seed", "clip_norm")))
+
+
+def _tune_config(config: dict) -> TuneConfig:
+    return TuneConfig(**_settings(TuneConfig, _section(config, "tune"), "tune"))
+
+
+def _analysis_config(config: dict) -> AnalysisConfig:
+    return AnalysisConfig(**_settings(AnalysisConfig, _section(config, "analysis"), "analysis"))
+
+
+def validate_config(config: dict) -> dict:
+    """Read every section as its command will, so that a bad field fails at load."""
+    _known(config, "", ("seed", "simulate", "featurize", "models", "tune", "analysis"))
+    _known(_section(config, "models"), "models.", ("arch", *MODEL_KINDS))
+    seed = config.get("seed")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise CliError(f"config field 'seed' must be int, got {seed!r}")
+    _simulation(config)
+    _featurization(config)
+    _arch_config(config)
+    _enet_settings(config)
+    for kind in ("td_mlp", "melchior"):
+        _train_config(config, kind)
+    _tune_config(config)
+    _analysis_config(config)
     return config
 
 
@@ -101,7 +208,7 @@ def apply_overrides(config: dict, overrides: Sequence[str]) -> dict:
 
 def load_config(path: Optional[str], overrides: Sequence[str], seed: Optional[int]) -> dict:
     if path is None:
-        config = default_config()
+        config = bundled_config("default")
     else:
         file = Path(path)
         if not file.exists():
@@ -118,70 +225,6 @@ def load_config(path: Optional[str], overrides: Sequence[str], seed: Optional[in
 
 # ---------------------------------------------------------------------------
 # Helpers
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("SALIENCE_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _games_from_config(config: dict) -> list[telemetry.GameSpec]:
-    out = []
-    for game in config["simulate"]["games"]:
-        out.append(
-            telemetry.GameSpec(
-                game_id=game["game_id"],
-                base_quality=float(game["base_quality"]),
-                quality_drift=float(game.get("quality_drift", 0.0)),
-                completion_sessions=game.get("completion_sessions"),
-                noise_sd=float(game.get("noise_sd", 0.1)),
-            )
-        )
-    return out
-
-
-def _population_from_config(config: dict) -> telemetry.PopulationSpec:
-    pop = config["simulate"].get("population", {})
-    defaults = telemetry.PopulationSpec()
-    return telemetry.PopulationSpec(
-        salience_range=tuple(pop.get("salience_range", defaults.salience_range)),
-        learning_rate_range=tuple(
-            pop.get("learning_rate_range", defaults.learning_rate_range)
-        ),
-        env_susceptibility_range=tuple(
-            pop.get("env_susceptibility_range", defaults.env_susceptibility_range)
-        ),
-        churn_threshold_range=tuple(
-            pop.get("churn_threshold_range", defaults.churn_threshold_range)
-        ),
-        regions=tuple(pop.get("regions", defaults.regions)),
-    )
-
-
-def _arch_from_config(config: dict) -> ArchConfig:
-    arch = config["models"]["arch"]
-    return ArchConfig(
-        hidden_width=int(arch.get("hidden_width", 64)),
-        d_z=int(arch.get("d_z", 32)),
-        layers=int(arch.get("layers", 1)),
-        emb_dim=int(arch.get("emb_dim", 8)),
-    )
-
-
-def _train_config(config: dict, kind: str) -> TrainConfig:
-    section = config["models"][kind]
-    return TrainConfig(
-        epochs=int(section.get("epochs", 30)),
-        batch_size=int(section.get("batch_size", 32)),
-        lr=float(section.get("lr", 3e-3)),
-        patience=int(section.get("patience", 8)),
-        seed=int(config["seed"]),
-        loss_weights=tuple(section.get("loss_weights", (0.25, 0.25, 0.25, 0.25))),
-        val_fraction=float(section.get("val_fraction", 0.15)),
-    )
 
 
 def _need(path: Path, hint: str) -> Path:
@@ -212,18 +255,7 @@ def _fmt_float(x: float) -> str:
 
 
 def cmd_simulate(config: dict, out: Path) -> None:
-    games = _games_from_config(config)
-    for game in games:
-        game.validate()
-    traces = telemetry.simulate_population(
-        games,
-        players_per_game=config["simulate"]["players_per_game"],
-        calendar_start=config["simulate"]["calendar_start"],
-        horizon_days=config["simulate"]["horizon_days"],
-        seed=config["seed"],
-        population=_population_from_config(config),
-        workers=_worker_cap(),
-    )
+    traces = telemetry.simulate_population(**_simulation(config))
     out.mkdir(parents=True, exist_ok=True)
     telemetry.write_csv(traces, out / "telemetry.csv")
     telemetry.write_latent_csv(traces, out / "telemetry.latent.csv")
@@ -233,12 +265,7 @@ def cmd_simulate(config: dict, out: Path) -> None:
 def cmd_featurize(config: dict, out: Path) -> None:
     path = _need(out / "telemetry.csv", "simulate")
     traces = telemetry.ingest_csv(path)
-    split = build_dataset(
-        traces,
-        ratio=float(config["featurize"]["ratio"]),
-        seed=config["seed"],
-        observation_end=config["featurize"].get("observation_end"),
-    )
+    split = build_dataset(traces, **_featurization(config))
     save_dataset(split, out / "features")
     print(
         f"featurize: {len(split.train)} train / {len(split.test)} test users -> "
@@ -247,24 +274,15 @@ def cmd_featurize(config: dict, out: Path) -> None:
 
 
 def _build_and_train(config: dict, split: DatasetSplit, kind: str):
-    arch = _arch_from_config(config)
-    seed = int(config["seed"])
     if kind == "td_enet":
-        section = config["models"]["td_enet"]
-        model = models.TdEnet(
-            split.vocabs,
-            lam=float(section.get("lam", 1e-2)),
-            l1_ratio=float(section.get("l1_ratio", 0.5)),
-            seed=seed,
-            max_iter=int(section.get("max_iter", 1200)),
-        )
+        model = models.TdEnet(split.vocabs, **_enet_settings(config))
         model.fit(split.train)
         for target, (iterations, converged) in model.convergence.items():
             ending = "met tol" if converged else f"stopped at max_iter={model.max_iter}"
             print(f"train: td_enet {target}: {iterations} iterations, {ending}")
         history = []
     else:
-        model = models.build_model(kind, split.vocabs, arch, seed=seed)
+        model = models.build_model(kind, split.vocabs, _arch_config(config), seed=config["seed"])
         history = models.train(model, split, _train_config(config, kind))
     return model, history
 
@@ -287,23 +305,10 @@ def cmd_train(config: dict, out: Path, kind: str) -> None:
 
 def cmd_tune(config: dict, out: Path) -> None:
     split = _load_split(out)
-    section = config["tune"]
-    space_cfg = section.get("space", {})
-    space = tuning.SearchSpace(
-        hidden_width=tuple(space_cfg.get("hidden_width", (16, 128))),
-        d_z=tuple(space_cfg.get("d_z", (8, 64))),
-        layers=tuple(space_cfg.get("layers", (1, 3))),
-        lr=tuple(space_cfg.get("lr", (1e-4, 1e-2))),
-        emb_dim=tuple(space_cfg.get("emb_dim", (4, 32))),
-    )
-    schedule = tuning.make_schedule(int(section.get("R", 27)), int(section.get("eta", 3)))
-    objective = tuning.default_objective(
-        split,
-        model_kind=section.get("model", "melchior"),
-        batch_size=int(section.get("batch_size", 32)),
-    )
-    result = tuning.hyperband_run(space, schedule, split, seed=int(config["seed"]),
-                                  objective=objective)
+    tune = _tune_config(config)
+    result = tuning.hyperband_run(
+        tune.space, tuning.make_schedule(tune.R, tune.eta), split, seed=config["seed"],
+        objective=tuning.default_objective(split, batch_size=tune.batch_size))
     tune_dir = out / "tune"
     tune_dir.mkdir(parents=True, exist_ok=True)
     result.write_log(tune_dir / "trials.csv")
@@ -358,7 +363,7 @@ def _embedding_inputs(config: dict, out: Path):
     split = _load_split(out)
     path = _need(out / "models" / "melchior.json", "train --model melchior")
     model = models.load_model(path, split.vocabs)
-    scope = config["analysis"].get("scope", "test")
+    scope = _analysis_config(config).scope
     traces = split.test if scope == "test" else split.train + split.test
     if not traces:
         raise CliError("embed: no traces in the selected scope")
@@ -415,19 +420,9 @@ def cmd_cluster(config: dict, out: Path) -> None:
     split, model, traces = _embedding_inputs(config, out)
     z = models.extract_embedding(model, traces)
     users, z_final = analysis.final_embeddings(z)
-    section = config["analysis"]
-    k_lo, k_hi = section.get("k_range", [2, 6])
-    seed = int(config["seed"])
-    elbow = analysis.elbow_select(z_final, range(int(k_lo), int(k_hi) + 1), seed=seed)
-    km = analysis.minibatch_kmeans(
-        z_final,
-        elbow.chosen_k,
-        batch_size=int(section.get("batch_size", 64)),
-        iterations=int(section.get("iterations", 250)),
-        seed=seed,
-    )
-    labels = km.assign(z_final)
-    assignments = {u: int(c) for u, c in zip(users, labels)}
+    k_lo, k_hi = _analysis_config(config).k_range
+    elbow = analysis.elbow_select(z_final, range(k_lo, k_hi + 1), seed=config["seed"])
+    assignments = {u: int(c) for u, c in zip(users, elbow.model.assign(z_final))}
     profile = analysis.profile_partitions(assignments, traces, split.scaler)
 
     cluster_dir = out / "cluster"

@@ -487,8 +487,8 @@ class TdEnet:
 
     kind = "td_enet"
 
-    def __init__(self, vocabs: Vocabularies, lam: float = 1e-3, l1_ratio: float = 0.5,
-                 seed: int = 0, max_iter: int = 3000):
+    def __init__(self, vocabs: Vocabularies, lam: float = 1e-2, l1_ratio: float = 0.5,
+                 seed: int = 0, max_iter: int = 1200):
         self.vocabs = vocabs
         self.lam = float(lam)
         self.l1_ratio = float(l1_ratio)
@@ -824,9 +824,9 @@ def load_model(path: str | Path, vocabs: Vocabularies):
 
 
 def build_model(kind: str, vocabs: Vocabularies, arch: ArchConfig = ArchConfig(),
-                seed: int = 0, lam: float = 1e-3, l1_ratio: float = 0.5):
+                seed: int = 0):
     if kind == "td_enet":
-        return TdEnet(vocabs, lam=lam, l1_ratio=l1_ratio, seed=seed)
+        return TdEnet(vocabs, seed=seed)
     if kind == "td_mlp":
         return TdMlp(vocabs, arch, seed)
     if kind == "melchior":

@@ -285,18 +285,15 @@ def simulate_population(
     calendar_start: int,
     horizon_days: int,
     seed: int,
-    population: PopulationSpec | None = None,
-    workers: int = 1,
+    population: PopulationSpec = PopulationSpec(),
 ) -> list[PlayerTrace]:
     """Simulate `players_per_game` players for every game, deterministically.
 
-    Player draws derive from (seed, player index) so results are independent
-    of execution order; distinct players may be simulated concurrently (the
-    result list is ordered by player index either way).  All players share
-    one calendar start so the observation window ends at the same moment for
-    everyone (the gaps decorrelate session phases quickly).
+    Player draws derive from (seed, player index), so no player's trace
+    depends on another's; the result list is ordered by player index.  All
+    players share one calendar start so the observation window ends at the
+    same moment for everyone (the gaps decorrelate session phases quickly).
     """
-    population = population or PopulationSpec()
 
     def one_player(idx: int, spec: GameSpec) -> PlayerTrace:
         draw = np.random.default_rng(np.random.SeedSequence((seed, idx)))
@@ -312,18 +309,10 @@ def simulate_population(
             spec, init, calendar_start, horizon_days, user_id=f"u{idx:06d}", region=region
         )
 
-    jobs = [
-        (idx, spec)
-        for idx, spec in enumerate(
-            spec for spec in games for _ in range(players_per_game)
-        )
+    return [
+        one_player(idx, spec)
+        for idx, spec in enumerate(spec for spec in games for _ in range(players_per_game))
     ]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda job: one_player(*job), jobs))
-    return [one_player(idx, spec) for idx, spec in jobs]
 
 
 def _format_minutes(x: float) -> str:

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .features import DatasetSplit, split_users
-from .models import ArchConfig, MelchiorModel, ModelError, TdMlp, TrainConfig, _epoch_loss
+from .models import ArchConfig, MelchiorModel, ModelError, TrainConfig, _epoch_loss
 from .models import make_batches, train as train_model
 
 
@@ -137,9 +137,8 @@ class HyperbandResult:
                 )
 
 
-def default_objective(split: DatasetSplit, model_kind: str = "melchior",
-                      batch_size: int = 32):
-    """Objective that trains `model_kind` on the carved subsets for r epochs."""
+def default_objective(split: DatasetSplit, batch_size: int = 32):
+    """Objective that trains a melchior model on the carved subsets for r epochs."""
 
     def objective(config: dict, epochs: int, trial_seed: int, fit_traces, val_traces) -> float:
         arch = ArchConfig(
@@ -148,8 +147,7 @@ def default_objective(split: DatasetSplit, model_kind: str = "melchior",
             layers=config["layers"],
             emb_dim=config["emb_dim"],
         )
-        cls = MelchiorModel if model_kind == "melchior" else TdMlp
-        model = cls(split.vocabs, arch, seed=trial_seed)
+        model = MelchiorModel(split.vocabs, arch, seed=trial_seed)
         cfg = TrainConfig(
             epochs=epochs,
             batch_size=batch_size,

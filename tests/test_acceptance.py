@@ -27,9 +27,9 @@ from salience_lab.analysis import (
     spearman,
 )
 from salience_lab.cli import (
-    _arch_from_config,
-    _games_from_config,
-    _population_from_config,
+    _arch_config,
+    _enet_settings,
+    _simulation,
     _train_config,
     bundled_config,
     main,
@@ -71,27 +71,16 @@ def verdict(number: int, name: str, ok: bool, detail: str) -> None:
 def benchmark_runs():
     """Simulate + featurize + train all three models for each seed."""
     config = bundled_config("benchmark")
-    games = _games_from_config(config)
-    population = _population_from_config(config)
-    arch = _arch_from_config(config)
-    enet_cfg = config["models"]["td_enet"]
+    arch = _arch_config(config)
 
     runs = {}
     t0 = time.monotonic()
     for seed in SEEDS:
         config["seed"] = seed
-        traces = simulate_population(
-            games,
-            players_per_game=config["simulate"]["players_per_game"],
-            calendar_start=config["simulate"]["calendar_start"],
-            horizon_days=config["simulate"]["horizon_days"],
-            seed=seed,
-            population=population,
-        )
+        traces = simulate_population(**_simulation(config))
         split = build_dataset(traces, ratio=config["featurize"]["ratio"], seed=seed)
 
-        enet = TdEnet(split.vocabs, lam=enet_cfg["lam"], l1_ratio=enet_cfg["l1_ratio"],
-                      seed=seed, max_iter=enet_cfg["max_iter"]).fit(split.train)
+        enet = TdEnet(split.vocabs, **_enet_settings(config)).fit(split.train)
         mlp = TdMlp(split.vocabs, arch, seed=seed)
         train(mlp, split, _train_config(config, "td_mlp"))
         melchior = MelchiorModel(split.vocabs, arch, seed=seed)
@@ -444,9 +433,7 @@ def test_criterion_7_profile_contrast(benchmark_runs):
         everyone = run["split"].train + run["split"].test
         z_users, z_final = final_embeddings(extract_embedding(run["melchior"], everyone))
         elbow = elbow_select(z_final, range(2, 7), seed=seed)
-        km = minibatch_kmeans(z_final, elbow.chosen_k, batch_size=64, iterations=250,
-                              seed=seed)
-        assignments = {u: int(c) for u, c in zip(z_users, km.assign(z_final))}
+        assignments = {u: int(c) for u, c in zip(z_users, elbow.model.assign(z_final))}
         profile = profile_partitions(assignments, everyone, run["split"].scaler)
         ranked = profile.ranked_by_median_ss()
         low = profile.clusters[ranked[0]]

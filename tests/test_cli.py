@@ -5,6 +5,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from salience_lab.cli import (
@@ -126,6 +127,60 @@ def test_set_overrides_parse_json():
 def test_validate_config_names_missing_field():
     with pytest.raises(CliError, match="simulate.calendar_start"):
         validate_config({"seed": 1, "simulate": {}})
+
+
+#: Fields no command reads, each with its place in the smoke config: typos, a search-space
+#: key, a per-game key, a top-level key, the deleted tune.model, analysis.batch_size and
+#: analysis.iterations, and the seed and clip_norm that the CLI keeps to itself.
+UNREAD_FIELDS = {
+    "models.melchior.epoch": ("models", "melchior", "epoch"),
+    "models.arch.hiden_width": ("models", "arch", "hiden_width"),
+    "analysis.k_rnage": ("analysis", "k_rnage"),
+    "tune.RR": ("tune", "RR"),
+    "tune.space.widht": ("tune", "space", "widht"),
+    "simulate.games[0].colour": ("simulate", "games", 0, "colour"),
+    "tag": ("tag",),
+    "tune.model": ("tune", "model"),
+    "analysis.batch_size": ("analysis", "batch_size"),
+    "analysis.iterations": ("analysis", "iterations"),
+    "models.melchior.seed": ("models", "melchior", "seed"),
+    "models.melchior.clip_norm": ("models", "melchior", "clip_norm"),
+}
+
+
+@pytest.mark.parametrize("field", UNREAD_FIELDS)
+def test_unread_config_field_fails_naming_it(tmp_path, capsys, field):
+    config = bundled_config("smoke")
+    *parents, key = UNREAD_FIELDS[field]
+    node = config
+    for part in parents:
+        node = node[part]
+    node[key] = 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["--config", str(path), "--out", str(tmp_path), "simulate"]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "telemetry.csv").exists()
+
+
+def test_unknown_analysis_scope_fails(tmp_path, capsys):
+    argv = ["--config", SMOKE, "--out", str(tmp_path), "--set", "analysis.scope=tset", "simulate"]
+    assert main(argv) == 2
+    assert "analysis.scope" in capsys.readouterr().err
+
+
+def test_clusters_csv_is_the_elbow_partition(pipeline_dir):
+    elbow = json.loads((pipeline_dir / "cluster" / "elbow.json").read_text(encoding="utf-8"))
+    with (pipeline_dir / "embed" / "embeddings.csv").open(newline="") as fh:
+        z = {r.pop("user_id"): [float(v) for v in r.values()] for r in csv.DictReader(fh)}
+    with (pipeline_dir / "cluster" / "clusters.csv").open(newline="") as fh:
+        label = {r["user_id"]: int(r["cluster"]) for r in csv.DictReader(fh)}
+    X = np.array([z[u] for u in label])
+    labels = np.array(list(label.values()))
+    inertia = sum(float(((X[labels == c] - X[labels == c].mean(axis=0)) ** 2).sum())
+                  for c in np.unique(labels))
+    expected = elbow["inertia"][elbow["k"].index(elbow["chosen_k"])]
+    assert abs(inertia - expected) <= 1e-9 * expected
 
 
 def test_bundled_configs_validate():

@@ -262,10 +262,3 @@ def test_population_deterministic():
     assert one == two
     other = simulate_population(games, 5, 0, 10, seed=4)
     assert one != other
-
-
-def test_population_worker_pool_matches_sequential():
-    games = [GameSpec("a", 0.7, completion_sessions=8), GameSpec("b", 0.3)]
-    sequential = simulate_population(games, 6, 0, 7, seed=5, workers=1)
-    pooled = simulate_population(games, 6, 0, 7, seed=5, workers=4)
-    assert sequential == pooled
