@@ -6,6 +6,9 @@ absolute percentage error), a bias-corrected Adam with global-norm gradient
 clipping, central-difference gradient checking, and a binary checkpoint
 format.  Parameters live in flat name -> ndarray dictionaries so optimizer
 state, checkpoints, and gradient checks all traverse the same structure.
+The GRU's nine gate parameters are row blocks of three fused arrays, so the
+recurrence runs few, large products; the dictionaries expose the blocks as
+views under their per-gate names ({name}.Wz ... {name}.bn).
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ class NeuralError(ValueError):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function in one pass; exp(-|x|) never overflows.
+
+    With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e) below:
+    the same arithmetic as evaluating each sign's stable form separately, so
+    ±inf map to 1 and 0 and nan stays nan.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -130,8 +135,12 @@ class Embedding:
         return self.params[f"{self.name}.W"][idx]
 
     def backward(self, dout: np.ndarray) -> None:
-        idx = self._cache
-        np.add.at(self.grads[f"{self.name}.W"], idx, dout)
+        # One bincount over flat (row, column) cells; it adds each cell's
+        # terms in lookup order, as np.add.at would.
+        cells = self._cache[..., None] * self.dim + np.arange(self.dim)
+        sums = np.bincount(cells.ravel(), weights=np.ravel(dout),
+                           minlength=self.rows * self.dim)
+        self.grads[f"{self.name}.W"] += sums.reshape(self.rows, self.dim)
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
@@ -151,6 +160,14 @@ class GruLayer:
     Masked steps hold the previous hidden state, so the hidden state at the
     last step equals the state at each sequence's final valid step and padded
     steps have exactly zero influence on gradients.
+
+    The gate parameters are row blocks, in gate order z, r, n, of three fused
+    arrays W (3H, in), U (3H, H) and b (3H,), with gradients gW, gU and gb.
+    params and grads expose the blocks as views under the names
+    {name}.Wz ... {name}.bn, so a write through either side is seen by the
+    other.  forward projects every step's input with one product before the
+    time loop; backward keeps each step's pre-activation gradients and forms
+    the weight gradients and dx after the loop, with four products and a sum.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: Optional[np.random.Generator] = None,
@@ -159,14 +176,26 @@ class GruLayer:
         self.name = name
         self.in_dim = in_dim
         self.hidden = hidden
-        p = {}
-        for gate in ("z", "r", "n"):
-            p[f"{name}.W{gate}"] = glorot(rng, in_dim, hidden)
-            p[f"{name}.U{gate}"] = glorot(rng, hidden, hidden)
-            p[f"{name}.b{gate}"] = np.zeros(hidden)
-        self.params = p
-        self.grads = {k: np.zeros_like(v) for k, v in p.items()}
+        self.W = np.empty((3 * hidden, in_dim))
+        self.U = np.empty((3 * hidden, hidden))
+        self.b = np.zeros(3 * hidden)
+        self.gW, self.gU, self.gb = (np.zeros_like(a) for a in (self.W, self.U, self.b))
+        self.params = self._blocks(self.W, self.U, self.b)
+        self.grads = self._blocks(self.gW, self.gU, self.gb)
+        for gate in "zrn":
+            self.params[f"{name}.W{gate}"][...] = glorot(rng, in_dim, hidden)
+            self.params[f"{name}.U{gate}"][...] = glorot(rng, hidden, hidden)
         self._cache = None
+
+    def _blocks(self, W: np.ndarray, U: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
+        H = self.hidden
+        views = {}
+        for i, gate in enumerate("zrn"):
+            rows = slice(i * H, (i + 1) * H)
+            views[f"{self.name}.W{gate}"] = W[rows]
+            views[f"{self.name}.U{gate}"] = U[rows]
+            views[f"{self.name}.b{gate}"] = b[rows]
+        return views
 
     def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None,
                 h0: Optional[np.ndarray] = None) -> np.ndarray:
@@ -175,70 +204,63 @@ class GruLayer:
                 f"{self.name}: expected (batch, time, {self.in_dim}), got {x.shape}"
             )
         B, T, _ = x.shape
-        h = np.zeros((B, self.hidden)) if h0 is None else h0.copy()
-        if mask is None:
-            mask = np.ones((B, T))
-        p = self.params
-        steps = []
-        out = np.empty((B, T, self.hidden))
+        H = self.hidden
+        m = np.ones((T, B, 1)) if mask is None else np.ascontiguousarray(mask.T)[..., None]
+        # On steps where every row is valid the blend is skipped: exact up to the sign of zero.
+        full = m.min(axis=(1, 2)) == 1.0
+        U_zr, U_n = self.U[: 2 * H].T, self.U[2 * H :].T
+        # Input projections of every step in one product: (B, T, 3H).
+        ax = (x.reshape(B * T, self.in_dim) @ self.W.T + self.b).reshape(B, T, 3 * H)
+        hs = np.empty((T + 1, B, H))  # hs[t] is the state entering step t
+        hs[0] = 0.0 if h0 is None else h0
+        zr = np.empty((T, B, 2 * H))
+        n = np.empty((T, B, H))
+        rh = np.empty((T, B, H))
+        hmn = np.empty((T, B, H))  # h - n, reused by backward
         for t in range(T):
-            xt = x[:, t, :]
-            m = mask[:, t][:, None]
-            z = sigmoid(xt @ p[f"{self.name}.Wz"].T + h @ p[f"{self.name}.Uz"].T
-                        + p[f"{self.name}.bz"])
-            r = sigmoid(xt @ p[f"{self.name}.Wr"].T + h @ p[f"{self.name}.Ur"].T
-                        + p[f"{self.name}.br"])
-            rh = r * h
-            n = np.tanh(xt @ p[f"{self.name}.Wn"].T + rh @ p[f"{self.name}.Un"].T
-                        + p[f"{self.name}.bn"])
-            h_cand = z * h + (1.0 - z) * n
-            h_new = m * h_cand + (1.0 - m) * h
-            steps.append((xt, h.copy(), z, r, rh, n, m))
-            h = h_new
-            out[:, t, :] = h
-        self._cache = (steps, x.shape)
-        return out
+            h = hs[t]
+            zr[t] = sigmoid(ax[:, t, : 2 * H] + h @ U_zr)
+            np.multiply(zr[t, :, H:], h, out=rh[t])
+            np.tanh(ax[:, t, 2 * H :] + rh[t] @ U_n, out=n[t])
+            np.subtract(h, n[t], out=hmn[t])
+            # h' = z * h + (1 - z) * n, written as n + z * (h - n)
+            h_new = hs[t + 1]
+            np.add(n[t], zr[t, :, :H] * hmn[t], out=h_new)
+            if not full[t]:
+                np.add(m[t] * h_new, (1.0 - m[t]) * h, out=h_new)
+        self._cache = (x, m, full, hs, zr, n, rh, hmn)
+        return np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        steps, x_shape = self._cache
-        B, T, _ = x_shape
-        p = self.params
-        g = self.grads
-        dx = np.zeros(x_shape)
-        dh = np.zeros((B, self.hidden))
+        x, m, full, hs, zr, n, rh, hmn = self._cache
+        B, T, _ = x.shape
+        H = self.hidden
+        U_zr, U_n = self.U[: 2 * H], self.U[2 * H :]
+        z, r = zr[..., :H], zr[..., H:]
+        dzr_pre = zr * (1.0 - zr)  # sigmoid' of both gates
+        dn_pre = (1.0 - z) * (1.0 - n * n)  # d h' / d n times tanh'
+        da = np.empty((T, B, 3 * H))  # pre-activation gradients, gate order z, r, n
+        dh = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
-            xt, h_prev, z, r, rh, n, m = steps[t]
             dh = dh + dout[:, t, :]
-            dcand = m * dh
-            dh_prev = (1.0 - m) * dh
-            # h' = z * h_prev + (1 - z) * n
-            dz = dcand * (h_prev - n)
-            dn = dcand * (1.0 - z)
-            dh_prev += dcand * z
-            # candidate path
-            dan = dn * (1.0 - n * n)
-            g[f"{self.name}.Wn"] += dan.T @ xt
-            g[f"{self.name}.Un"] += dan.T @ rh
-            g[f"{self.name}.bn"] += dan.sum(axis=0)
-            dx[:, t, :] += dan @ p[f"{self.name}.Wn"]
-            drh = dan @ p[f"{self.name}.Un"]
-            dr = drh * h_prev
-            dh_prev += drh * r
-            # gates
-            daz = dz * z * (1.0 - z)
-            g[f"{self.name}.Wz"] += daz.T @ xt
-            g[f"{self.name}.Uz"] += daz.T @ h_prev
-            g[f"{self.name}.bz"] += daz.sum(axis=0)
-            dx[:, t, :] += daz @ p[f"{self.name}.Wz"]
-            dh_prev += daz @ p[f"{self.name}.Uz"]
-            dar = dr * r * (1.0 - r)
-            g[f"{self.name}.Wr"] += dar.T @ xt
-            g[f"{self.name}.Ur"] += dar.T @ h_prev
-            g[f"{self.name}.br"] += dar.sum(axis=0)
-            dx[:, t, :] += dar @ p[f"{self.name}.Wr"]
-            dh_prev += dar @ p[f"{self.name}.Ur"]
+            dcand = dh if full[t] else m[t] * dh
+            np.multiply(dcand, dn_pre[t], out=da[t, :, 2 * H :])
+            drh = da[t, :, 2 * H :] @ U_n
+            np.multiply(dcand * hmn[t], dzr_pre[t, :, :H], out=da[t, :, :H])
+            np.multiply(drh * hs[t], dzr_pre[t, :, H:], out=da[t, :, H : 2 * H])
+            dh_prev = dcand * z[t] + drh * r[t]
+            if not full[t]:
+                dh_prev += (1.0 - m[t]) * dh
+            dh_prev += da[t, :, : 2 * H] @ U_zr
             dh = dh_prev
-        return dx
+        flat = da.reshape(T * B, 3 * H)
+        self.gU[: 2 * H] += flat[:, : 2 * H].T @ hs[:T].reshape(T * B, H)
+        self.gU[2 * H :] += flat[:, 2 * H :].T @ rh.reshape(T * B, H)
+        self.gb += flat.sum(axis=0)
+        # The input side in x's (B, T) order.
+        da_bt = da.transpose(1, 0, 2).reshape(B * T, 3 * H)
+        self.gW += da_bt.T @ x.reshape(B * T, self.in_dim)
+        return (da_bt @ self.W).reshape(B, T, self.in_dim)
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
@@ -313,7 +335,9 @@ def clip_gradients(grads: Mapping[str, np.ndarray], max_norm: float = 5.0) -> fl
     """Scale all gradients in place so their global norm is at most max_norm."""
     norm = global_norm(grads)
     if not np.isfinite(norm):
-        raise NeuralError("non-finite gradient norm")
+        bad = [name for name, g in grads.items() if not np.all(np.isfinite(g))]
+        where = f" in {', '.join(bad)}" if bad else " (the squared norm overflows)"
+        raise NeuralError("non-finite gradient norm" + where)
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for g in grads.values():
@@ -336,9 +360,6 @@ class AdamState:
 
     def step(self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
         clip_gradients(grads, self.clip_norm)
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise NeuralError(f"non-finite gradient for parameter {name}")
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         correct1 = 1.0 - b1**self.step_count

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from salience_lab.neural import (
     sigmoid,
     smape_loss,
 )
+from salience_lab.features import build_dataset
+from salience_lab.models import ArchConfig, MelchiorModel, load_model, make_batches, save_model
 
 
 # -- dense layer ---------------------------------------------------------------
@@ -101,6 +104,19 @@ def test_embedding_repeated_lookup_accumulates():
     emb.forward(np.array([2, 2]))
     emb.backward(np.ones((2, 3)))
     assert np.all(emb.grads["emb.W"][2] == 2.0)
+
+
+@pytest.mark.parametrize("shape", [(6, 9), (11,)], ids=["env_BT", "game_B"])
+def test_embedding_backward_equals_add_at(shape):
+    rng = np.random.default_rng(12)
+    emb = Embedding(7, 4, rng)
+    idx = rng.integers(0, 4, size=shape)  # few rows, so most are repeated
+    dout = rng.normal(size=shape + (4,))
+    emb.forward(idx)
+    emb.backward(dout)
+    expected = np.zeros((7, 4))
+    np.add.at(expected, idx, dout)
+    assert np.array_equal(emb.grads["emb.W"], expected)
 
 
 def test_embedding_gradcheck():
@@ -197,6 +213,128 @@ def test_gru_masked_steps_have_zero_gradient_influence():
     assert loss_a == loss_b
     for k in grads_a:
         assert np.array_equal(grads_a[k], grads_b[k])
+
+
+def _reference_gru(params, name, x, mask, h0, dout):
+    """The per-step GRU forward and backward, one set of products per gate and step."""
+    p = {k[len(name) + 1:]: v for k, v in params.items()}
+    B, T, _ = x.shape
+    h = h0.copy()
+    steps = []
+    out = np.empty((B, T, h.shape[1]))
+    for t in range(T):
+        xt = x[:, t, :]
+        m = mask[:, t][:, None]
+        z = sigmoid(xt @ p["Wz"].T + h @ p["Uz"].T + p["bz"])
+        r = sigmoid(xt @ p["Wr"].T + h @ p["Ur"].T + p["br"])
+        rh = r * h
+        n = np.tanh(xt @ p["Wn"].T + rh @ p["Un"].T + p["bn"])
+        h_cand = z * h + (1.0 - z) * n
+        steps.append((xt, h.copy(), z, r, rh, n, m))
+        h = m * h_cand + (1.0 - m) * h
+        out[:, t, :] = h
+    g = {k: np.zeros_like(v) for k, v in p.items()}
+    dx = np.zeros(x.shape)
+    dh = np.zeros_like(h)
+    for t in range(T - 1, -1, -1):
+        xt, h_prev, z, r, rh, n, m = steps[t]
+        dh = dh + dout[:, t, :]
+        dcand = m * dh
+        dh_prev = (1.0 - m) * dh
+        dz = dcand * (h_prev - n)
+        dn = dcand * (1.0 - z)
+        dh_prev += dcand * z
+        dan = dn * (1.0 - n * n)
+        g["Wn"] += dan.T @ xt
+        g["Un"] += dan.T @ rh
+        g["bn"] += dan.sum(axis=0)
+        dx[:, t, :] += dan @ p["Wn"]
+        drh = dan @ p["Un"]
+        dr = drh * h_prev
+        dh_prev += drh * r
+        daz = dz * z * (1.0 - z)
+        g["Wz"] += daz.T @ xt
+        g["Uz"] += daz.T @ h_prev
+        g["bz"] += daz.sum(axis=0)
+        dx[:, t, :] += daz @ p["Wz"]
+        dh_prev += daz @ p["Uz"]
+        dar = dr * r * (1.0 - r)
+        g["Wr"] += dar.T @ xt
+        g["Ur"] += dar.T @ h_prev
+        g["br"] += dar.sum(axis=0)
+        dx[:, t, :] += dar @ p["Wr"]
+        dh_prev += dar @ p["Ur"]
+        dh = dh_prev
+    return out, dx, {f"{name}.{k}": v for k, v in g.items()}
+
+
+def _max_rel(actual, expected):
+    return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("T", [1, 2, 9])
+@pytest.mark.parametrize("in_dim,hidden", [(3, 4), (64, 32), (16, 64)])
+def test_gru_matches_per_step_reference(in_dim, hidden, T):
+    rng = np.random.default_rng(in_dim * 100 + hidden + T)
+    B = 5
+    gru = GruLayer(in_dim, hidden, rng, "g")
+    for v in gru.params.values():  # non-zero biases too
+        v += rng.normal(scale=0.3, size=v.shape)
+    x = rng.normal(size=(B, T, in_dim))
+    mask = np.ones((B, T))
+    for i, length in enumerate([T, 1, max(1, T - 3), T, max(1, T // 2)]):
+        mask[i, length:] = 0.0  # ragged; the first steps have every row valid
+    h0 = rng.normal(size=(B, hidden))
+    dout = rng.normal(size=(B, T, hidden))  # held states at padded steps carry gradient too
+    out_ref, dx_ref, g_ref = _reference_gru(gru.params, "g", x, mask, h0, dout)
+    gru.zero_grads()
+    out = gru.forward(x, mask=mask, h0=h0)
+    dx = gru.backward(dout)
+    assert _max_rel(out, out_ref) < 1e-12
+    assert _max_rel(dx, dx_ref) < 1e-12
+    assert list(gru.grads) == list(g_ref)
+    for k in g_ref:
+        assert gru.grads[k].shape == g_ref[k].shape
+        assert _max_rel(gru.grads[k], g_ref[k]) < 1e-12, k
+
+
+def test_gru_initial_weights_follow_gate_draw_order():
+    gru = GruLayer(3, 4, np.random.default_rng(21), "g")
+    rng = np.random.default_rng(21)
+    for gate in "zrn":
+        bound_w, bound_u = np.sqrt(6.0 / 7.0), np.sqrt(6.0 / 8.0)
+        assert np.array_equal(gru.params[f"g.W{gate}"], rng.uniform(-bound_w, bound_w, (4, 3)))
+        assert np.array_equal(gru.params[f"g.U{gate}"], rng.uniform(-bound_u, bound_u, (4, 4)))
+        assert np.array_equal(gru.params[f"g.b{gate}"], np.zeros(4))
+
+
+def test_gru_write_through_named_parameter_changes_forward():
+    rng = np.random.default_rng(22)
+    gru = GruLayer(3, 4, rng, "g")
+    x = rng.normal(size=(2, 5, 3))
+    before = gru.forward(x)
+    gru.params["g.Wz"][...] = rng.normal(size=(4, 3))  # as set_params and Adam write
+    after = gru.forward(x)
+    assert not np.allclose(before, after)
+    fresh = GruLayer(3, 4, np.random.default_rng(0), "g")
+    for k, v in gru.params.items():
+        fresh.params[k][...] = v
+    assert np.array_equal(fresh.forward(x), after)
+
+
+def test_melchior_checkpoint_round_trip_reproduces_forward(small_population, tmp_path):
+    split = build_dataset(small_population, ratio=0.8, seed=3)
+    model = MelchiorModel(split.vocabs, ArchConfig(hidden_width=16, d_z=8, emb_dim=4), seed=4)
+    batch = make_batches(split.test, 16)[0]
+    rng = np.random.default_rng(23)
+    model.set_params({k: v + rng.normal(scale=0.1, size=v.shape)
+                      for k, v in model.params().items()})
+    expected = model.forward(batch)
+    save_model(model, tmp_path / "melchior.json")
+    loaded = load_model(tmp_path / "melchior.json", split.vocabs)
+    got = loaded.forward(batch)
+    for k in expected:
+        assert np.array_equal(got[k], expected[k]), k
 
 
 # -- losses ----------------------------------------------------------------------
@@ -316,6 +454,15 @@ def test_adam_rejects_non_finite():
         adam.step({"w": np.zeros(2)}, {"w": np.array([np.nan, 1.0])})
 
 
+def test_adam_names_the_non_finite_parameter():
+    adam = AdamState()
+    params = {"a": np.zeros(2), "b": np.zeros(3)}
+    grads = {"a": np.array([0.5, 1.0]), "b": np.array([1.0, np.nan, 2.0])}
+    with pytest.raises(NeuralError, match=r"non-finite gradient norm in b$"):
+        adam.step(params, grads)
+    assert np.array_equal(params["b"], np.zeros(3))
+
+
 def test_clip_gradients_scales_to_max_norm():
     grads = {"a": np.array([3.0, 4.0])}
     norm = clip_gradients(grads, max_norm=1.0)
@@ -345,3 +492,24 @@ def test_sigmoid_extremes_stable():
     assert out[0] == pytest.approx(0.0, abs=1e-12)
     assert out[1] == 0.5
     assert out[2] == pytest.approx(1.0, abs=1e-12)
+
+
+def _reference_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_equals_two_branch_reference():
+    rng = np.random.default_rng(24)
+    special = np.array([-800.0, -40.0, -0.0, 0.0, 40.0, 800.0, np.inf, -np.inf, np.nan])
+    for x in (rng.normal(scale=6.0, size=(50, 7)), rng.normal(scale=300.0, size=500), special):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = sigmoid(x)
+        expected = _reference_sigmoid(x)
+        assert np.array_equal(np.isnan(out), np.isnan(x))
+        assert np.array_equal(out, expected, equal_nan=True)
