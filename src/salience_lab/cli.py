@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import analysis, features, models, svg, telemetry, tuning
+from . import analysis, features, models, neural, svg, telemetry, tuning
 from .features import DatasetSplit, build_dataset, load_dataset, save_dataset
 from .models import ArchConfig, TrainConfig
 
@@ -546,8 +546,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cmd_report(config, out)
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
-    except (CliError, telemetry.TelemetryError, features.FeatureError, models.ModelError,
-            tuning.TuningError, analysis.AnalysisError) as exc:
+    except (CliError, telemetry.TelemetryError, features.FeatureError, neural.NeuralError,
+            models.ModelError, tuning.TuningError, analysis.AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -190,21 +190,33 @@ class _EmbeddingBank:
 
 
 class _GradientModel:
-    """Shared parameter bookkeeping for the backprop-trained estimators."""
+    """Shared parameter bookkeeping for the backprop-trained estimators.
+
+    All parameters live in one flat vector theta and their gradients in one
+    vector grad; the layers' arrays and the params()/grads() entries are views.
+    """
 
     kind = "abstract"
 
-    def __init__(self):
-        self._layers: list = []
+    def _own(self, layers: list) -> None:
+        """Move every layer's arrays into theta and grad; build the name dicts."""
+        self.theta = np.empty(sum(p.size for layer in layers for p in layer.params.values()))
+        self.grad = np.zeros_like(self.theta)
+        self._params, self._grads = {}, {}
+        offset = 0
+        for layer in layers:
+            offset = layer.move_into(self.theta, self.grad, offset)
+            for k in layer.params:
+                if k in self._params:
+                    raise ModelError(f"duplicate parameter name {k}")
+            self._params.update(layer.params)
+            self._grads.update(layer.grads)
 
     def params(self) -> dict[str, np.ndarray]:
-        merged: dict[str, np.ndarray] = {}
-        for layer in self._layers:
-            for k, v in layer.params.items():
-                if k in merged:
-                    raise ModelError(f"duplicate parameter name {k}")
-                merged[k] = v
-        return merged
+        return self._params
+
+    def grads(self) -> dict[str, np.ndarray]:
+        return self._grads
 
     def _build_heads(self, width: int, rng: np.random.Generator) -> list[Dense]:
         self.heads = {
@@ -223,27 +235,20 @@ class _GradientModel:
             dx = d if dx is None else dx + d
         return dx
 
-    def grads(self) -> dict[str, np.ndarray]:
-        merged: dict[str, np.ndarray] = {}
-        for layer in self._layers:
-            merged.update(layer.grads)
-        return merged
-
     def zero_grads(self) -> None:
-        for layer in self._layers:
-            layer.zero_grads()
+        self.grad[...] = 0.0
 
     def set_params(self, values: Mapping[str, np.ndarray]) -> None:
         own = self.params()
+        missing = [k for k in own if k not in values]
+        if missing:
+            raise ModelError(f"missing parameter {', '.join(missing)}")
         for k, v in values.items():
             if k not in own:
                 raise ModelError(f"unknown parameter {k}")
             if own[k].shape != np.shape(v):
                 raise ModelError(f"parameter {k}: shape {np.shape(v)} != {own[k].shape}")
             own[k][...] = v
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params().items()}
 
     def loss_and_grads(self, batch: Batch, weights: Sequence[float]) -> tuple[float, dict]:
         """masked_loss of a forward pass; accumulates parameter gradients in place."""
@@ -258,7 +263,6 @@ class TdMlp(_GradientModel):
     kind = "td_mlp"
 
     def __init__(self, vocabs: Vocabularies, arch: ArchConfig = ArchConfig(), seed: int = 0):
-        super().__init__()
         arch.validate()
         self.arch = arch
         self.vocabs = vocabs
@@ -270,7 +274,7 @@ class TdMlp(_GradientModel):
         width = arch.hidden_width
         for i in range(arch.layers):
             self.hidden.append(Dense(in_dim if i == 0 else width, width, "tanh", rng, f"mlp{i}"))
-        self._layers = self.bank.layers() + self.hidden + self._build_heads(width, rng)
+        self._own(self.bank.layers() + self.hidden + self._build_heads(width, rng))
 
     def forward(self, batch: Batch) -> dict[str, np.ndarray]:
         B, T, _ = batch.behaviour.shape
@@ -286,12 +290,10 @@ class TdMlp(_GradientModel):
         dx = self._heads_backward(douts)
         for layer in reversed(self.hidden):
             dx = layer.backward(dx)
-        d_beh = dx[..., :5]
         d_env = dx[..., 5 : 5 + self.bank.env_width]
         d_game = dx[..., 5 + self.bank.env_width :]
         self.bank.env_backward(d_env, self.arch.emb_dim)
         self.bank.game.backward(d_game.sum(axis=1))
-        del d_beh  # inputs are data, not parameters
 
 
 class MelchiorModel(_GradientModel):
@@ -300,7 +302,6 @@ class MelchiorModel(_GradientModel):
     kind = "melchior"
 
     def __init__(self, vocabs: Vocabularies, arch: ArchConfig = ArchConfig(), seed: int = 0):
-        super().__init__()
         arch.validate()
         self.arch = arch
         self.vocabs = vocabs
@@ -323,7 +324,7 @@ class MelchiorModel(_GradientModel):
         self.fusion = Dense(2 * branch + self.bank.game_width, arch.hidden_width, "tanh",
                             rng, "fusion")
         self.gru = GruLayer(arch.hidden_width, arch.d_z, rng, "salience")
-        self._layers = (
+        self._own(
             self.bank.layers()
             + self.beh_branch
             + self.env_branch
@@ -583,6 +584,9 @@ class TdEnet:
         return {f"enet.{name}": w for name, w in self.weights.items()}
 
     def set_params(self, values: Mapping[str, np.ndarray]) -> None:
+        missing = [f"enet.{name}" for name in TARGET_NAMES if f"enet.{name}" not in values]
+        if missing:
+            raise ModelError(f"missing parameter {', '.join(missing)}")
         for name in TARGET_NAMES:
             self.weights[name] = np.asarray(values[f"enet.{name}"], dtype=np.float64).copy()
 
@@ -650,12 +654,11 @@ def train(
 
     train_batches = make_batches(train_traces, config.batch_size)
     val_batches = make_batches(val_traces, config.batch_size)
-    adam = AdamState(lr=config.lr, clip_norm=config.clip_norm)
-    params = model.params()
+    adam = AdamState(lr=config.lr)
 
     history: list[dict] = []
     best_val = math.inf
-    best_params = model.snapshot()
+    best_theta = model.theta.copy()
     stale = 0
     for epoch in range(config.epochs):
         order = np.random.default_rng(
@@ -669,7 +672,8 @@ def train(
             loss, _ = model.loss_and_grads(batch, config.loss_weights)
             if not math.isfinite(loss):
                 raise ModelError(f"training diverged at epoch {epoch} (non-finite loss)")
-            adam.step(params, model.grads())
+            neural.clip_gradients(model.grads(), config.clip_norm)
+            adam.step(model.theta, model.grad)
             n = float(batch.mask.sum())
             running += loss * n
             running_n += n
@@ -677,13 +681,13 @@ def train(
         history.append({"epoch": epoch, "train": running / running_n, "val": val})
         if val < best_val - 1e-12:
             best_val = val
-            best_params = model.snapshot()
+            best_theta = model.theta.copy()
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
-    model.set_params(best_params)
+    model.theta[...] = best_theta
     return history
 
 

@@ -4,17 +4,17 @@ Everything here is plain numpy: dense and gated-recurrent layers, embedding
 tables, the two masked losses (binary cross entropy and symmetric mean
 absolute percentage error), a bias-corrected Adam with global-norm gradient
 clipping, central-difference gradient checking, and a binary checkpoint
-format.  Parameters live in flat name -> ndarray dictionaries so optimizer
-state, checkpoints, and gradient checks all traverse the same structure.
-The GRU's nine gate parameters are row blocks of three fused arrays, so the
-recurrence runs few, large products; the dictionaries expose the blocks as
-views under their per-gate names ({name}.Wz ... {name}.bn).
+format.  A model's parameters and gradients are two flat float64 vectors:
+each layer's base arrays (W, b, U) and gradients (gW, gb, gU), and their
+name -> ndarray views used by checkpoints and clipping ({name}.W, ...; the
+GRU's per-gate row blocks {name}.Wz ... {name}.bn), are views into them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -58,7 +58,40 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
-class Dense:
+class _Layer:
+    """Named base arrays, each with its gradient in attribute "g" + name, and their views."""
+
+    def __init__(self, name: str, **arrays: np.ndarray):
+        self.name = name
+        self.arrays = tuple(arrays)
+        for a, arr in arrays.items():
+            setattr(self, a, arr)
+            setattr(self, "g" + a, np.zeros_like(arr))
+        self._bind()
+        self._cache = None
+
+    def _views(self, *arrays: np.ndarray) -> dict[str, np.ndarray]:
+        return {f"{self.name}.{a}": arr for a, arr in zip(self.arrays, arrays)}
+
+    def _bind(self) -> None:
+        self.params = self._views(*(getattr(self, a) for a in self.arrays))
+        self.grads = self._views(*(getattr(self, "g" + a) for a in self.arrays))
+
+    def move_into(self, theta: np.ndarray, grad: np.ndarray, offset: int) -> int:
+        """Copy the base arrays into theta and their gradients into grad from
+        offset on, keep views of them instead, and return the offset past them."""
+        for a in self.arrays:
+            for attr, flat in ((a, theta), ("g" + a, grad)):
+                old = getattr(self, attr)
+                view = flat[offset : offset + old.size].reshape(old.shape)
+                view[...] = old
+                setattr(self, attr, view)
+            offset += old.size
+        self._bind()
+        return offset
+
+
+class Dense(_Layer):
     """Affine map plus pointwise activation: y = act(x W^T + b)."""
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "linear",
@@ -66,31 +99,15 @@ class Dense:
         if activation not in _ACTIVATIONS:
             raise NeuralError(f"unknown activation {activation!r}")
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.name = name
+        super().__init__(name, W=glorot(rng, in_dim, out_dim), b=np.zeros(out_dim))
         self.activation = activation
-        self.params = {
-            f"{name}.W": glorot(rng, in_dim, out_dim),
-            f"{name}.b": np.zeros(out_dim),
-        }
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self._cache = None
-
-    @property
-    def in_dim(self) -> int:
-        return self.params[f"{self.name}.W"].shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.params[f"{self.name}.W"].shape[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        W = self.params[f"{self.name}.W"]
-        b = self.params[f"{self.name}.b"]
-        if x.shape[-1] != W.shape[1]:
+        if x.shape[-1] != self.W.shape[1]:
             raise NeuralError(
-                f"{self.name}: input width {x.shape} incompatible with weight {W.shape}"
+                f"{self.name}: input width {x.shape} incompatible with weight {self.W.shape}"
             )
-        pre = x @ W.T + b
+        pre = x @ self.W.T + self.b
         f, _ = _ACTIVATIONS[self.activation]
         out = f(pre)
         self._cache = (x, pre, out)
@@ -102,27 +119,20 @@ class Dense:
         da = dout * dact(pre, out)
         flat_x = x.reshape(-1, x.shape[-1])
         flat_da = da.reshape(-1, da.shape[-1])
-        self.grads[f"{self.name}.W"] += flat_da.T @ flat_x
-        self.grads[f"{self.name}.b"] += flat_da.sum(axis=0)
-        return da @ self.params[f"{self.name}.W"]
-
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.gW += flat_da.T @ flat_x
+        self.gb += flat_da.sum(axis=0)
+        return da @ self.W
 
 
-class Embedding:
+class Embedding(_Layer):
     """Row-lookup table; gradient accumulates only into looked-up rows."""
 
     def __init__(self, rows: int, dim: int, rng: Optional[np.random.Generator] = None,
                  name: str = "emb"):
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.name = name
+        super().__init__(name, W=rng.normal(0.0, 0.1, size=(rows, dim)))
         self.rows = rows
         self.dim = dim
-        self.params = {f"{name}.W": rng.normal(0.0, 0.1, size=(rows, dim))}
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self._cache = None
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx)
@@ -132,7 +142,7 @@ class Embedding:
                 f"(got min {idx.min()}, max {idx.max()})"
             )
         self._cache = idx
-        return self.params[f"{self.name}.W"][idx]
+        return self.W[idx]
 
     def backward(self, dout: np.ndarray) -> None:
         # One bincount over flat (row, column) cells; it adds each cell's
@@ -140,14 +150,10 @@ class Embedding:
         cells = self._cache[..., None] * self.dim + np.arange(self.dim)
         sums = np.bincount(cells.ravel(), weights=np.ravel(dout),
                            minlength=self.rows * self.dim)
-        self.grads[f"{self.name}.W"] += sums.reshape(self.rows, self.dim)
-
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.gW += sums.reshape(self.rows, self.dim)
 
 
-class GruLayer:
+class GruLayer(_Layer):
     """Gated recurrent layer over (batch, time, features) with a step mask.
 
     Update rule per step (update gate z, reset gate r, candidate n):
@@ -173,21 +179,15 @@ class GruLayer:
     def __init__(self, in_dim: int, hidden: int, rng: Optional[np.random.Generator] = None,
                  name: str = "gru"):
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.name = name
         self.in_dim = in_dim
-        self.hidden = hidden
-        self.W = np.empty((3 * hidden, in_dim))
-        self.U = np.empty((3 * hidden, hidden))
-        self.b = np.zeros(3 * hidden)
-        self.gW, self.gU, self.gb = (np.zeros_like(a) for a in (self.W, self.U, self.b))
-        self.params = self._blocks(self.W, self.U, self.b)
-        self.grads = self._blocks(self.gW, self.gU, self.gb)
+        self.hidden = hidden  # before the base arrays: _views reads it
+        super().__init__(name, W=np.empty((3 * hidden, in_dim)),
+                         U=np.empty((3 * hidden, hidden)), b=np.zeros(3 * hidden))
         for gate in "zrn":
             self.params[f"{name}.W{gate}"][...] = glorot(rng, in_dim, hidden)
             self.params[f"{name}.U{gate}"][...] = glorot(rng, hidden, hidden)
-        self._cache = None
 
-    def _blocks(self, W: np.ndarray, U: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
+    def _views(self, W: np.ndarray, U: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
         H = self.hidden
         views = {}
         for i, gate in enumerate("zrn"):
@@ -262,10 +262,6 @@ class GruLayer:
         self.gW += da_bt.T @ x.reshape(B * T, self.in_dim)
         return (da_bt @ self.W).reshape(B, T, self.in_dim)
 
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
-
 
 def _masked_mean_setup(pred: np.ndarray, target: np.ndarray,
                        mask: Optional[np.ndarray]) -> tuple[np.ndarray, float]:
@@ -325,9 +321,14 @@ def smape_loss(pred: np.ndarray, target: np.ndarray,
 
 
 def global_norm(grads: Mapping[str, np.ndarray]) -> float:
+    """Norm of all gradients; rescaled by the largest entry only if the squares overflow."""
     total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
+    with np.errstate(over="ignore"):
+        for g in grads.values():
+            total += float((g * g).sum())
+    if total == math.inf and all(np.all(np.isfinite(g)) for g in grads.values()):
+        peak = max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values())
+        return peak * math.sqrt(sum(float(((g / peak) ** 2).sum()) for g in grads.values()))
     return float(np.sqrt(total))
 
 
@@ -336,7 +337,7 @@ def clip_gradients(grads: Mapping[str, np.ndarray], max_norm: float = 5.0) -> fl
     norm = global_norm(grads)
     if not np.isfinite(norm):
         bad = [name for name, g in grads.items() if not np.all(np.isfinite(g))]
-        where = f" in {', '.join(bad)}" if bad else " (the squared norm overflows)"
+        where = f" in {', '.join(bad)}" if bad else " (the norm overflows)"
         raise NeuralError("non-finite gradient norm" + where)
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
@@ -347,32 +348,26 @@ def clip_gradients(grads: Mapping[str, np.ndarray], max_norm: float = 5.0) -> fl
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam with a global-norm clip applied before the update."""
+    """Bias-corrected Adam over one flat parameter vector and its gradient."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    clip_norm: float = 5.0
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
 
-    def step(self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
-        clip_gradients(grads, self.clip_norm)
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        if self.m is None:
+            self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         correct1 = 1.0 - b1**self.step_count
         correct2 = 1.0 - b2**self.step_count
-        for name, p in params.items():
-            g = grads[name]
-            if p.shape != g.shape:
-                raise NeuralError(f"parameter {name}: shape {p.shape} vs grad {g.shape}")
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
-            m += (1.0 - b1) * (g - m)
-            v += (1.0 - b2) * (g * g - v)
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+        self.m += (1.0 - b1) * (grad - self.m)
+        self.v += (1.0 - b2) * (grad * grad - self.v)
+        theta -= self.lr * (self.m / correct1) / (np.sqrt(self.v / correct2) + self.eps)
 
 
 def grad_check(loss_fn: Callable[[], float], params: Mapping[str, np.ndarray],

@@ -118,7 +118,6 @@ def test_criterion_1_gradient_suite():
         def loss_fn():
             return 0.5 * float(((layer.forward(x) - target) ** 2).sum())
 
-        layer.zero_grads()
         layer.backward(layer.forward(x) - target)
         return grad_check(loss_fn, layer.params, layer.grads)
 
@@ -134,7 +133,6 @@ def test_criterion_1_gradient_suite():
         def loss_fn():
             return 0.5 * float(((emb.forward(idx) - target) ** 2).sum())
 
-        emb.zero_grads()
         emb.backward(emb.forward(idx) - target)
         return grad_check(loss_fn, emb.params, emb.grads)
 
@@ -152,7 +150,6 @@ def test_criterion_1_gradient_suite():
             out = gru.forward(x, mask=mask)
             return 0.5 * float((((out - target) * mask[..., None]) ** 2).sum())
 
-        gru.zero_grads()
         gru.backward((gru.forward(x, mask=mask) - target) * mask[..., None])
         return grad_check(loss_fn, gru.params, gru.grads)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,17 @@ def test_rerun_is_idempotent(pipeline_dir):
     before = (pipeline_dir / "eval" / "losses.csv").read_bytes()
     assert main(["--config", SMOKE, "--out", str(pipeline_dir), "evaluate"]) == 0
     assert (pipeline_dir / "eval" / "losses.csv").read_bytes() == before
+
+
+def test_unsupported_checkpoint_version_exits_2_with_an_error(pipeline_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    path = out / "models" / "td_mlp.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["format_version"] = 99
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["--config", SMOKE, "--out", str(out), "evaluate"]) == 2
+    assert "error: unsupported checkpoint version 99" in capsys.readouterr().err
 
 
 def test_cluster_covers_scope_users(pipeline_dir):

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from salience_lab import models
-from salience_lab.features import build_dataset
+from salience_lab.features import build_dataset, split_users
 from salience_lab.models import (
     ArchConfig,
     Batch,
@@ -26,7 +28,7 @@ from salience_lab.models import (
     save_model,
     train,
 )
-from salience_lab.neural import BCE_CLIP, SMAPE_EPS, grad_check, sigmoid
+from salience_lab.neural import BCE_CLIP, SMAPE_EPS, clip_gradients, grad_check, sigmoid
 from salience_lab.telemetry import GameSpec, simulate_population
 
 SMALL_ARCH = ArchConfig(hidden_width=16, d_z=8, layers=1, emb_dim=4)
@@ -363,6 +365,98 @@ def test_loss_weight_zero_kills_head_gradients(dataset):
     assert np.any(grads["head_ch.W"] != 0.0)
 
 
+@pytest.mark.parametrize("kind", ["td_mlp", "melchior"])
+def test_params_and_grads_are_views_that_tile_theta_and_grad(dataset, kind):
+    model = build_model(kind, dataset.vocabs, SMALL_ARCH, seed=3)
+    assert list(model.params()) == list(model.grads())
+    for named, flat, other in ((model.params(), model.theta, model.grad),
+                               (model.grads(), model.grad, model.theta)):
+        arrays = list(named.values())
+        for i, a in enumerate(arrays):
+            assert np.shares_memory(a, flat) and not np.shares_memory(a, other)
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+        assert sum(a.size for a in arrays) == flat.size
+
+
+@pytest.mark.parametrize("kind", ["td_mlp", "melchior"])
+def test_writes_through_theta_change_forward_and_zero_grads_clears_grad(dataset, kind):
+    model = build_model(kind, dataset.vocabs, SMALL_ARCH, seed=3)
+    batch = _toy_batch(dataset)
+    before = {k: v.copy() for k, v in model.forward(batch).items()}
+    model.theta += np.random.default_rng(0).normal(scale=0.05, size=model.theta.size)
+    after = model.forward(batch)
+    for name in TARGETS:
+        assert not np.allclose(before[name], after[name]), name
+    model.loss_and_grads(batch, (0.25, 0.25, 0.25, 0.25))
+    assert np.any(model.grad != 0.0)
+    model.zero_grads()
+    assert all(np.all(g == 0.0) for g in model.grads().values())
+
+
+def _reference_train(model, split, config):
+    """The training loop with one Adam state per named array, clipping inside the
+    step, and a dict snapshot of the best weights."""
+    fit_users, val_users = split_users([t.user_id for t in split.train],
+                                       1.0 - config.val_fraction, config.seed)
+    train_batches = make_batches([t for t in split.train if t.user_id in fit_users],
+                                 config.batch_size)
+    val_batches = make_batches([t for t in split.train if t.user_id in val_users],
+                               config.batch_size)
+    params, grads = model.params(), model.grads()
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    step = 0
+    history = []
+    best_val = math.inf
+    best = {k: p.copy() for k, p in params.items()}
+    stale = 0
+    for epoch in range(config.epochs):
+        order = np.random.default_rng(
+            np.random.SeedSequence((config.seed, epoch))
+        ).permutation(len(train_batches))
+        running = running_n = 0.0
+        for b in order:
+            batch = train_batches[b]
+            for g in grads.values():
+                g[...] = 0.0
+            loss, _ = model.loss_and_grads(batch, config.loss_weights)
+            clip_gradients(grads, config.clip_norm)
+            step += 1
+            correct1 = 1.0 - 0.9**step
+            correct2 = 1.0 - 0.999**step
+            for k, p in params.items():
+                g = grads[k]
+                m[k] += (1.0 - 0.9) * (g - m[k])
+                v[k] += (1.0 - 0.999) * (g * g - v[k])
+                p -= config.lr * (m[k] / correct1) / (np.sqrt(v[k] / correct2) + 1e-8)
+            n = float(batch.mask.sum())
+            running += loss * n
+            running_n += n
+        val = models._epoch_loss(model, val_batches, config.loss_weights)
+        history.append({"epoch": epoch, "train": running / running_n, "val": val})
+        if val < best_val - 1e-12:
+            best_val = val
+            best = {k: p.copy() for k, p in params.items()}
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    model.set_params(best)
+    return history
+
+
+# Every step clips, and the best epoch is the second, so the best weights are restored.
+@pytest.mark.parametrize("kind,lr", [("td_mlp", 0.1), ("melchior", 0.03)])
+def test_train_equals_per_array_reference_loop(dataset, kind, lr):
+    cfg = TrainConfig(epochs=3, batch_size=8, lr=lr, patience=5, seed=2, clip_norm=0.05)
+    model = build_model(kind, dataset.vocabs, SMALL_ARCH, seed=2)
+    reference = build_model(kind, dataset.vocabs, SMALL_ARCH, seed=2)
+    assert train(model, dataset, cfg) == _reference_train(reference, dataset, cfg)
+    for k, p in reference.params().items():
+        assert np.array_equal(model.params()[k], p), k
+
+
 # -- training -----------------------------------------------------------------------
 
 
@@ -586,3 +680,24 @@ def test_model_save_load_round_trip(tmp_path, dataset, kind):
     b = loaded.forward(batch)
     for name in ("ch", "st", "ss", "ab"):
         assert np.array_equal(a[name], b[name])
+
+
+@pytest.mark.parametrize("kind,dropped",
+                         [("melchior", "salience.bz"), ("td_mlp", "mlp0.b"), ("td_enet", "enet.ch")])
+def test_load_model_rejects_a_checkpoint_missing_a_parameter(tmp_path, dataset, kind, dropped):
+    path = tmp_path / f"{kind}.json"
+    model = build_model(kind, dataset.vocabs, SMALL_ARCH, seed=5)
+    if kind == "td_enet":
+        model.max_iter = 20
+        model.fit(dataset.train[:10])
+    save_model(model, path)
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    blob = path.with_suffix(".bin").read_bytes()
+    sizes = [8 * math.prod(entry["shape"]) for entry in manifest["arrays"]]
+    i = [entry["name"] for entry in manifest["arrays"]].index(dropped)
+    start = sum(sizes[:i])
+    del manifest["arrays"][i]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    path.with_suffix(".bin").write_bytes(blob[:start] + blob[start + sizes[i] :])
+    with pytest.raises(ModelError, match=rf"^missing parameter {re.escape(dropped)}$"):
+        load_model(path, dataset.vocabs)

@@ -57,7 +57,6 @@ def _dense_gradcheck(activation: str, seed: int) -> float:
         out = layer.forward(x)
         return 0.5 * float(((out - target) ** 2).sum())
 
-    layer.zero_grads()
     out = layer.forward(x)
     layer.backward(out - target)
     return grad_check(loss_fn, layer.params, layer.grads)
@@ -128,7 +127,6 @@ def test_embedding_gradcheck():
     def loss_fn():
         return 0.5 * float(((emb.forward(idx) - target) ** 2).sum())
 
-    emb.zero_grads()
     out = emb.forward(idx)
     emb.backward(out - target)
     assert grad_check(loss_fn, emb.params, emb.grads) < 1e-6
@@ -180,7 +178,6 @@ def _gru_bptt_gradcheck(seed: int, T: int = 5) -> float:
         out = gru.forward(x, mask=mask)
         return 0.5 * float((((out - target) * mask[..., None]) ** 2).sum())
 
-    gru.zero_grads()
     out = gru.forward(x, mask=mask)
     gru.backward((out - target) * mask[..., None])
     return grad_check(loss_fn, gru.params, gru.grads)
@@ -200,7 +197,8 @@ def test_gru_masked_steps_have_zero_gradient_influence():
     target = rng.normal(size=(1, 6, 4))
 
     def run(inputs):
-        gru.zero_grads()
+        for g in gru.grads.values():
+            g[...] = 0.0
         out = gru.forward(inputs, mask=mask)
         gru.backward((out - target) * mask[..., None])
         loss = 0.5 * float((((out - target) * mask[..., None]) ** 2).sum())
@@ -287,7 +285,6 @@ def test_gru_matches_per_step_reference(in_dim, hidden, T):
     h0 = rng.normal(size=(B, hidden))
     dout = rng.normal(size=(B, T, hidden))  # held states at padded steps carry gradient too
     out_ref, dx_ref, g_ref = _reference_gru(gru.params, "g", x, mask, h0, dout)
-    gru.zero_grads()
     out = gru.forward(x, mask=mask, h0=h0)
     dx = gru.backward(dout)
     assert _max_rel(out, out_ref) < 1e-12
@@ -417,50 +414,45 @@ def test_loss_gradients_match_finite_differences(loss):
 
 
 def test_adam_zero_gradient_no_move():
-    params = {"w": np.array([1.0, -2.0])}
+    theta = np.array([1.0, -2.0])
     adam = AdamState(lr=0.1)
-    adam.step(params, {"w": np.zeros(2)})
-    assert np.array_equal(params["w"], [1.0, -2.0])
+    adam.step(theta, np.zeros(2))
+    assert np.array_equal(theta, [1.0, -2.0])
 
 
 def test_adam_constant_gradient_limits_to_lr():
-    params = {"w": np.array([0.0])}
-    adam = AdamState(lr=0.05, clip_norm=1e9)
-    prev = params["w"].copy()
+    theta = np.array([0.0])
+    adam = AdamState(lr=0.05)
     step_size = None
     for _ in range(300):
-        prev = params["w"].copy()
-        adam.step(params, {"w": np.array([2.5])})
-        step_size = abs(float(params["w"][0] - prev[0]))
+        prev = theta.copy()
+        adam.step(theta, np.array([2.5]))
+        step_size = abs(float(theta[0] - prev[0]))
     assert step_size == pytest.approx(0.05, rel=1e-3)
 
 
 def test_adam_deterministic():
     def run():
         rng = np.random.default_rng(4)
-        params = {"w": rng.normal(size=(3, 3))}
+        theta = rng.normal(size=9)
         adam = AdamState(lr=0.01)
         for i in range(20):
-            g = np.sin(params["w"] + i)
-            adam.step(params, {"w": g})
-        return params["w"]
+            adam.step(theta, np.sin(theta + i))
+        return theta
 
     assert np.array_equal(run(), run())
 
 
-def test_adam_rejects_non_finite():
-    adam = AdamState()
+def test_clip_gradients_rejects_non_finite():
     with pytest.raises(NeuralError):
-        adam.step({"w": np.zeros(2)}, {"w": np.array([np.nan, 1.0])})
+        clip_gradients({"w": np.array([np.nan, 1.0])})
 
 
-def test_adam_names_the_non_finite_parameter():
-    adam = AdamState()
-    params = {"a": np.zeros(2), "b": np.zeros(3)}
+def test_clip_gradients_names_the_non_finite_parameter():
     grads = {"a": np.array([0.5, 1.0]), "b": np.array([1.0, np.nan, 2.0])}
     with pytest.raises(NeuralError, match=r"non-finite gradient norm in b$"):
-        adam.step(params, grads)
-    assert np.array_equal(params["b"], np.zeros(3))
+        clip_gradients(grads)
+    assert np.array_equal(grads["a"], [0.5, 1.0])
 
 
 def test_clip_gradients_scales_to_max_norm():
@@ -468,6 +460,17 @@ def test_clip_gradients_scales_to_max_norm():
     norm = clip_gradients(grads, max_norm=1.0)
     assert norm == pytest.approx(5.0)
     assert np.linalg.norm(grads["a"]) == pytest.approx(1.0)
+
+
+def test_clip_gradients_scales_gradients_whose_squares_overflow():
+    grads = {"a": np.array([1e200, 1.0]), "b": np.array([-3e199])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = clip_gradients(grads, max_norm=2.0)
+    assert norm == pytest.approx(math.hypot(1e200, 3e199), rel=1e-12)
+    assert math.hypot(*grads["a"], *grads["b"]) == pytest.approx(2.0, rel=1e-12)
+    with pytest.raises(NeuralError, match=r"non-finite gradient norm \(the norm overflows\)$"):
+        clip_gradients({"a": np.full(4, 1e308)})
 
 
 # -- checkpoints -----------------------------------------------------------------
