@@ -16,7 +16,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .features import BEHAVIOUR_FIELDS, FeaturizedTrace, ScalerStats, invert_scaler
+from .features import (BEHAVIOUR_FIELDS, TARGETS, FeaturizedTrace, ScalerStats, invert_scaler,
+                       target_medians)
 
 
 class AnalysisError(ValueError):
@@ -83,9 +84,6 @@ def principal_scores(vectors: np.ndarray, component: int = 0) -> np.ndarray:
 class KMeansModel:
     k: int
     centroids: np.ndarray  # (k, d)
-    counts: np.ndarray  # per-centroid update counts
-    seed: int
-    batch_size: int
 
     def assign(self, vectors: np.ndarray) -> np.ndarray:
         return _nearest(np.asarray(vectors, dtype=np.float64), self.centroids)
@@ -149,8 +147,7 @@ def minibatch_kmeans(
             counts[c] += 1.0
             eta = 1.0 / counts[c]
             centroids[c] = (1.0 - eta) * centroids[c] + eta * batch[j]
-    return KMeansModel(k=k, centroids=centroids, counts=counts, seed=seed,
-                       batch_size=batch_size)
+    return KMeansModel(k=k, centroids=centroids)
 
 
 def lloyd_kmeans(
@@ -189,12 +186,8 @@ def lloyd_kmeans(
         prev = centroids
         centroids = new_centroids
     d2 = _sq_distances(X, centroids)
-    owner = np.argmin(d2, axis=1)
-    history.append(float(d2[np.arange(n), owner].sum()))
-    model = KMeansModel(k=k, centroids=centroids, counts=np.bincount(owner, minlength=k
-                                                                     ).astype(float),
-                        seed=seed, batch_size=n)
-    return model, history
+    history.append(float(d2[np.arange(n), np.argmin(d2, axis=1)].sum()))
+    return KMeansModel(k=k, centroids=centroids), history
 
 
 @dataclass
@@ -377,9 +370,9 @@ def profile_partitions(
 ) -> PartitionProfile:
     """Mean +/- 95% CI of unscaled inputs per session index, per cluster.
 
-    Target distributions are quartiles over each member's per-trace median
-    (on the unscaled quantities; churn is already unscaled).  A cluster a
-    user was never assigned to is reported with count 0.
+    Target distributions are quartiles over each member's target_medians; a
+    member with no observed absence adds nothing to `ab`.  A cluster a user
+    was never assigned to is reported with count 0.
     """
     by_user = {t.user_id: t for t in traces}
     missing = [u for u in assignments if u not in by_user]
@@ -424,20 +417,11 @@ def profile_partitions(
             curves[name] = rows
 
         target_summaries = {}
-        per_user: dict[str, list[float]] = {"ch": [], "st": [], "ss": [], "ab": []}
+        per_user: dict[str, list[float]] = {name: [] for name in TARGETS}
         for m in members:
-            per_user["ch"].append(float(m.churn[0]))
-            per_user["st"].append(
-                float(np.median(invert_scaler(scaler, "st", m.survival_time)))
-            )
-            per_user["ss"].append(
-                float(np.median(invert_scaler(scaler, "ss", m.survival_sessions)))
-            )
-            observed = m.ab_mask > 0
-            if observed.any():
-                per_user["ab"].append(
-                    float(np.median(invert_scaler(scaler, "ab", m.absence[observed])))
-                )
+            for name, median in target_medians(m, scaler).items():
+                if median is not None:
+                    per_user[name].append(median)
         for name, values in per_user.items():
             if not values:
                 target_summaries[name] = None

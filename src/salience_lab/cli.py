@@ -17,10 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import analysis, features, models, neural, svg, telemetry, tuning
-from .features import DatasetSplit, build_dataset, load_dataset, save_dataset
+from .features import TARGETS, DatasetSplit, build_dataset, load_dataset, save_dataset
 from .models import ArchConfig, TrainConfig
 
 MODEL_KINDS = ("td_enet", "td_mlp", "melchior")
@@ -339,7 +337,7 @@ def cmd_evaluate(config: dict, out: Path) -> None:
         model = models.load_model(path, split.vocabs)
         report = models.evaluate(model, split.test)
         found.append((kind, report))
-        for target in models.TARGET_NAMES:
+        for target in TARGETS:
             rows.append([kind, target, _fmt_float(report.overall[target])])
         for game, idx, target, loss, count in report.cell_rows():
             cell_rows.append([kind, game, idx, target, _fmt_float(loss), count])
@@ -388,25 +386,10 @@ def cmd_embed(config: dict, out: Path) -> None:
     rows = []
     for i, user in enumerate(users):
         ft = by_user[user]
-        med_st = float(np.median(features.invert_scaler(split.scaler, "st", ft.survival_time)))
-        med_ss = float(np.median(features.invert_scaler(split.scaler, "ss", ft.survival_sessions)))
-        observed = ft.ab_mask > 0
-        med_ab = (
-            float(np.median(features.invert_scaler(split.scaler, "ab", ft.absence[observed])))
-            if observed.any()
-            else 0.0
-        )
+        medians = features.target_medians(ft, split.scaler)
         rows.append(
-            [
-                user,
-                _fmt_float(coords[i, 0]),
-                _fmt_float(coords[i, 1]),
-                ft.game_id,
-                _fmt_float(ft.churn[0]),
-                _fmt_float(med_st),
-                _fmt_float(med_ss),
-                _fmt_float(med_ab),
-            ]
+            [user, _fmt_float(coords[i, 0]), _fmt_float(coords[i, 1]), ft.game_id]
+            + [_fmt_float(0.0 if m is None else m) for m in medians.values()]
         )
     _write_csv(
         embed_dir / "embedding_2d.csv",
@@ -450,7 +433,7 @@ def cmd_report(config: dict, out: Path) -> None:
     for row in losses:
         by_target.setdefault(row["target"], []).append((row["model"], float(row["loss"])))
     rows = []
-    for target in models.TARGET_NAMES:
+    for target in TARGETS:
         entries = dict(by_target.get(target, []))
         rows.append(
             [target]

@@ -29,15 +29,17 @@ BEHAVIOUR_FIELDS = (
     "activity_diversity",
 )
 ENV_FIELDS = ("hour", "weekday", "yearday", "region")
-TARGET_FIELDS = ("ch", "st", "ss", "ab")
-SCALED_TARGETS = ("st", "ss", "ab")  # churn stays unscaled
+#: The four targets in model order: name -> the FeaturizedTrace (and
+#: TargetVector) field that holds it.  Churn is a probability and stays
+#: unscaled; the other three are min-max scaled under their names.
+TARGETS = {"ch": "churn", "st": "survival_time", "ss": "survival_sessions", "ab": "absence"}
 
 _DATASET_COLUMNS = (
     ("user_id", "game_id", "session_index")
     + BEHAVIOUR_FIELDS
     + tuple(f"{name}_idx" for name in ENV_FIELDS)
     + ("game_idx",)
-    + TARGET_FIELDS
+    + tuple(TARGETS)
     + ("ab_mask",)
 )
 
@@ -202,9 +204,6 @@ class Vocab:
     def encode(self, value) -> int:
         return self._index.get(value, 0)
 
-    def as_mapping(self) -> dict:
-        return {"OOV": 0, **self._index}
-
 
 def build_vocab(values: Iterable) -> Vocab:
     """Vocabulary over the unique values, in sorted order (fit on train only)."""
@@ -261,6 +260,13 @@ def split_users(user_ids: Sequence[str], ratio: float, seed: int) -> tuple[set[s
     return set(ordered[:n_train]), set(ordered[n_train:])
 
 
+def carve_validation(traces: Sequence, fraction: float, seed: int) -> tuple[list, list]:
+    """Split traces by user into (fit, validation), about `fraction` of the users validating."""
+    fit_users, _ = split_users([t.user_id for t in traces], 1.0 - fraction, seed)
+    return ([t for t in traces if t.user_id in fit_users],
+            [t for t in traces if t.user_id not in fit_users])
+
+
 @dataclass
 class FeaturizedTrace:
     """One trace as scaled inputs, encoded context, and (scaled) targets."""
@@ -279,6 +285,25 @@ class FeaturizedTrace:
     @property
     def length(self) -> int:
         return int(self.behaviour.shape[0])
+
+
+def target_medians(trace: FeaturizedTrace, scaler: ScalerStats) -> dict[str, float | None]:
+    """Median of each target over the trace's steps, in unscaled units.
+
+    Absence is taken over its observed steps only, and is None when there are none.
+    """
+    medians: dict[str, float | None] = {}
+    for name, field in TARGETS.items():
+        values = getattr(trace, field)
+        if name == "ab":
+            values = values[trace.ab_mask > 0]
+            if not values.size:
+                medians[name] = None
+                continue
+        if name != "ch":
+            values = invert_scaler(scaler, name, values)
+        medians[name] = float(np.median(values))
+    return medians
 
 
 @dataclass
@@ -356,21 +381,15 @@ def build_dataset(
     train_targets = [
         compute_targets(t, thresholds[t.game_id], observation_end) for t in train_raw
     ]
-    columns: dict[str, np.ndarray] = {}
     behaviour_train = np.concatenate([_behaviour_matrix(t) for t in train_raw], axis=0)
-    for j, name in enumerate(BEHAVIOUR_FIELDS):
-        columns[name] = behaviour_train[:, j]
-    columns["st"] = np.asarray(
-        [tv.survival_time for tvs in train_targets for tv in tvs], dtype=np.float64
-    )
-    columns["ss"] = np.asarray(
-        [tv.survival_sessions for tvs in train_targets for tv in tvs], dtype=np.float64
-    )
-    columns["ab"] = np.asarray(
-        [tv.absence for tvs in train_targets for tv in tvs if not tv.absence_masked]
-        or [0.0],
-        dtype=np.float64,
-    )
+    columns = {name: behaviour_train[:, j] for j, name in enumerate(BEHAVIOUR_FIELDS)}
+    for name, field in TARGETS.items():
+        if name != "ch":  # churn stays unscaled; absence is fitted where it is observed
+            columns[name] = np.asarray(
+                [getattr(tv, field) for tvs in train_targets for tv in tvs
+                 if not (name == "ab" and tv.absence_masked)] or [0.0],
+                dtype=np.float64,
+            )
     scaler = fit_scaler(columns)
 
     def featurize(trace: PlayerTrace, targets: list[TargetVector]) -> FeaturizedTrace:
@@ -391,26 +410,22 @@ def build_dataset(
             ],
             dtype=np.int64,
         )
-        st = apply_scaler(scaler, "st", np.asarray([tv.survival_time for tv in targets]))
-        ss = apply_scaler(
-            scaler, "ss", np.asarray([float(tv.survival_sessions) for tv in targets])
-        )
-        ab = apply_scaler(scaler, "ab", np.asarray([tv.absence for tv in targets]))
+        arrays = {}
+        for name, field in TARGETS.items():
+            values = np.asarray([getattr(tv, field) for tv in targets], dtype=np.float64)
+            arrays[field] = values if name == "ch" else apply_scaler(scaler, name, values)
         ab_mask = np.asarray(
             [0.0 if tv.absence_masked else 1.0 for tv in targets], dtype=np.float64
         )
-        ab = ab * ab_mask  # masked entries carry no information
+        arrays["absence"] *= ab_mask  # masked entries carry no information
         return FeaturizedTrace(
             user_id=trace.user_id,
             game_id=trace.game_id,
             game_idx=vocabs.game.encode(trace.game_id),
             behaviour=behaviour,
             env_idx=env_idx,
-            churn=np.full(len(targets), targets[0].churn, dtype=np.float64),
-            survival_time=st,
-            survival_sessions=ss,
-            absence=ab,
             ab_mask=ab_mask,
+            **arrays,
         )
 
     train = [featurize(t, tvs) for t, tvs in zip(train_raw, train_targets)]
@@ -456,12 +471,7 @@ def save_dataset(split: DatasetSplit, directory: str | Path) -> None:
                         + [repr(float(v)) for v in ft.behaviour[t]]
                         + [int(v) for v in ft.env_idx[t]]
                         + [ft.game_idx]
-                        + [
-                            repr(float(ft.churn[t])),
-                            repr(float(ft.survival_time[t])),
-                            repr(float(ft.survival_sessions[t])),
-                            repr(float(ft.absence[t])),
-                        ]
+                        + [repr(float(getattr(ft, field)[t])) for field in TARGETS.values()]
                         + [repr(float(ft.ab_mask[t]))]
                     )
 
@@ -485,11 +495,9 @@ def _traces_from_rows(rows: list[dict]) -> list[FeaturizedTrace]:
                     [[int(r[f"{name}_idx"]) for name in ENV_FIELDS] for r in chunk],
                     dtype=np.int64,
                 ),
-                churn=np.asarray([float(r["ch"]) for r in chunk]),
-                survival_time=np.asarray([float(r["st"]) for r in chunk]),
-                survival_sessions=np.asarray([float(r["ss"]) for r in chunk]),
-                absence=np.asarray([float(r["ab"]) for r in chunk]),
                 ab_mask=np.asarray([float(r["ab_mask"]) for r in chunk]),
+                **{field: np.asarray([float(r[name]) for r in chunk])
+                   for name, field in TARGETS.items()},
             )
         )
     return traces

@@ -24,12 +24,18 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import neural
-from .features import DatasetSplit, FeaturizedTrace, Vocabularies, split_users
-from .neural import AdamState, Dense, Embedding, GruLayer, bce_loss, smape_loss
+from .features import TARGETS, DatasetSplit, FeaturizedTrace, Vocabularies, carve_validation
+from .neural import (AdamState, Dense, Embedding, GruLayer, bce_loss, bce_terms, smape_loss,
+                     smape_terms)
 
-TARGET_NAMES = ("ch", "st", "ss", "ab")
-#: Output head per target, in TARGET_NAMES order (the order heads draw from the RNG).
-HEAD_ACTIVATIONS = {"ch": "sigmoid", "st": "softplus", "ss": "softplus", "ab": "softplus"}
+#: Per target, in TARGETS order (the order heads draw from the RNG): the output
+#: head's activation, the masked loss and its per-element terms.
+HEADS = {
+    "ch": ("sigmoid", bce_loss, bce_terms),
+    "st": ("softplus", smape_loss, smape_terms),
+    "ss": ("softplus", smape_loss, smape_terms),
+    "ab": ("softplus", smape_loss, smape_terms),
+}
 
 
 class ModelError(ValueError):
@@ -69,17 +75,15 @@ def make_batches(traces: Sequence[FeaturizedTrace], batch_size: int) -> list[Bat
         env_idx = np.zeros((B, T, 4), dtype=np.int64)
         mask = np.zeros((B, T))
         ab_mask = np.zeros((B, T))
-        targets = {name: np.zeros((B, T)) for name in TARGET_NAMES}
+        targets = {name: np.zeros((B, T)) for name in TARGETS}
         for i, ft in enumerate(chunk):
             L = ft.length
             behaviour[i, :L] = ft.behaviour
             env_idx[i, :L] = ft.env_idx
             mask[i, :L] = 1.0
             ab_mask[i, :L] = ft.ab_mask
-            targets["ch"][i, :L] = ft.churn
-            targets["st"][i, :L] = ft.survival_time
-            targets["ss"][i, :L] = ft.survival_sessions
-            targets["ab"][i, :L] = ft.absence
+            for name, field in TARGETS.items():
+                targets[name][i, :L] = getattr(ft, field)
         batches.append(
             Batch(
                 behaviour=behaviour,
@@ -97,20 +101,8 @@ def make_batches(traces: Sequence[FeaturizedTrace], batch_size: int) -> list[Bat
 
 
 def _loss_masks(batch: Batch) -> dict[str, np.ndarray]:
-    return {
-        "ch": batch.mask,
-        "st": batch.mask,
-        "ss": batch.mask,
-        "ab": batch.mask * batch.ab_mask,
-    }
-
-
-def _loss_fn(name: str):
-    return bce_loss if name == "ch" else smape_loss
-
-
-def _terms_fn(name: str):
-    return neural.bce_terms if name == "ch" else neural.smape_terms
+    return {name: batch.mask * batch.ab_mask if name == "ab" else batch.mask
+            for name in TARGETS}
 
 
 def masked_loss(
@@ -125,12 +117,12 @@ def masked_loss(
     douts = {}
     per_target = {}
     total = 0.0
-    for w, name in zip(weights, TARGET_NAMES):
+    for w, (name, (_, loss_fn, _)) in zip(weights, HEADS.items()):
         if masks[name].sum() == 0.0:
             per_target[name] = 0.0
             douts[name] = np.zeros_like(outputs[name])
             continue
-        loss, dpred = _loss_fn(name)(outputs[name], batch.targets[name], masks[name])
+        loss, dpred = loss_fn(outputs[name], batch.targets[name], masks[name])
         per_target[name] = loss
         total += w * loss
         douts[name] = w * dpred
@@ -221,7 +213,7 @@ class _GradientModel:
     def _build_heads(self, width: int, rng: np.random.Generator) -> list[Dense]:
         self.heads = {
             name: Dense(width, 1, activation, rng, f"head_{name}")
-            for name, activation in HEAD_ACTIVATIONS.items()
+            for name, (activation, _, _) in HEADS.items()
         }
         return list(self.heads.values())
 
@@ -537,17 +529,13 @@ class TdEnet:
             np.concatenate([t.env_idx for t in traces]),
             np.repeat([t.game_idx for t in traces], [t.length for t in traces]),
         )
-        targets = {
-            "ch": np.concatenate([t.churn for t in traces]),
-            "st": np.concatenate([t.survival_time for t in traces]),
-            "ss": np.concatenate([t.survival_sessions for t in traces]),
-            "ab": np.concatenate([t.absence for t in traces]),
-        }
+        targets = {name: np.concatenate([getattr(t, field) for t in traces])
+                   for name, field in TARGETS.items()}
         # Absence is fitted where it is observed only; with no such row its weights are 0.
         observed = np.concatenate([t.ab_mask for t in traces]) > 0
         X_all = self._design(behaviour, hot)
         X_observed = self._design(behaviour[observed], hot[observed])
-        for name in TARGET_NAMES:
+        for name in TARGETS:
             if name == "ab":
                 X, y = X_observed, targets[name][observed]
             else:
@@ -571,7 +559,7 @@ class TdEnet:
         game_idx = np.broadcast_to(batch.game_idx[:, None], batch.mask.shape)
         hot = self._hot_columns(batch.env_idx, game_idx)
         out = {}
-        for name in TARGET_NAMES:
+        for name in TARGETS:
             w = self.weights[name]
             pred = batch.behaviour @ w[:5] + w[hot].sum(axis=-1) + w[-1]
             if name == "ch":
@@ -584,10 +572,10 @@ class TdEnet:
         return {f"enet.{name}": w for name, w in self.weights.items()}
 
     def set_params(self, values: Mapping[str, np.ndarray]) -> None:
-        missing = [f"enet.{name}" for name in TARGET_NAMES if f"enet.{name}" not in values]
+        missing = [f"enet.{name}" for name in TARGETS if f"enet.{name}" not in values]
         if missing:
             raise ModelError(f"missing parameter {', '.join(missing)}")
-        for name in TARGET_NAMES:
+        for name in TARGETS:
             self.weights[name] = np.asarray(values[f"enet.{name}"], dtype=np.float64).copy()
 
 
@@ -645,10 +633,8 @@ def train(
     """
     config.validate()
     if train_traces is None or val_traces is None:
-        ids = [t.user_id for t in split.train]
-        fit_users, val_users = split_users(ids, 1.0 - config.val_fraction, config.seed)
-        train_traces = [t for t in split.train if t.user_id in fit_users]
-        val_traces = [t for t in split.train if t.user_id in val_users]
+        train_traces, val_traces = carve_validation(split.train, config.val_fraction,
+                                                    config.seed)
     if not train_traces or not val_traces:
         raise ModelError("training requires non-empty fit and validation subsets")
 
@@ -727,16 +713,16 @@ def evaluate_outputs(
     games = sorted({g for batch in batches for g in batch.game_ids})
     game_code = {g: i for i, g in enumerate(games)}
     width = max((batch.mask.shape[1] for batch in batches), default=0)
-    overall_sum = {name: 0.0 for name in TARGET_NAMES}
-    overall_cnt = {name: 0.0 for name in TARGET_NAMES}
-    cell_keys: dict[str, list[np.ndarray]] = {name: [] for name in TARGET_NAMES}
-    cell_terms: dict[str, list[np.ndarray]] = {name: [] for name in TARGET_NAMES}
+    overall_sum = {name: 0.0 for name in TARGETS}
+    overall_cnt = {name: 0.0 for name in TARGETS}
+    cell_keys: dict[str, list[np.ndarray]] = {name: [] for name in TARGETS}
+    cell_terms: dict[str, list[np.ndarray]] = {name: [] for name in TARGETS}
     for batch, outputs in zip(batches, outputs_per_batch):
         masks = _loss_masks(batch)
         codes = np.asarray([game_code[g] for g in batch.game_ids], dtype=np.int64)
         keys = codes[:, None] * width + np.arange(batch.mask.shape[1])
-        for name in TARGET_NAMES:
-            terms = _terms_fn(name)(outputs[name], batch.targets[name])
+        for name, (_, _, terms_fn) in HEADS.items():
+            terms = terms_fn(outputs[name], batch.targets[name])
             m = masks[name]
             overall_sum[name] += float((terms * m).sum())
             overall_cnt[name] += float(m.sum())
@@ -747,10 +733,10 @@ def evaluate_outputs(
         raise ModelError("evaluation saw no valid steps")
     overall = {
         name: (overall_sum[name] / overall_cnt[name]) if overall_cnt[name] else 0.0
-        for name in TARGET_NAMES
+        for name in TARGETS
     }
     cells = []
-    for name in TARGET_NAMES:
+    for name in TARGETS:
         keys = np.concatenate(cell_keys[name])
         sums = np.bincount(keys, weights=np.concatenate(cell_terms[name]))
         counts = np.bincount(keys)

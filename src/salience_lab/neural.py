@@ -417,13 +417,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     manifest = json.loads(path.read_text(encoding="utf-8"))
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise NeuralError(f"unsupported checkpoint version {manifest.get('format_version')}")
-    blob = path.with_suffix(".bin").read_bytes()
+    bin_path = path.with_suffix(".bin")
+    blob = bin_path.read_bytes()
+    sizes = [math.prod(entry["shape"]) for entry in manifest["arrays"]]
+    if len(blob) != 8 * sum(sizes):
+        raise NeuralError(f"checkpoint {bin_path} holds {len(blob)} bytes, but its manifest "
+                          f"{path.name} describes {8 * sum(sizes)}")
     params = {}
     offset = 0
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
-        params[entry["name"]] = arr.astype(np.float64).copy()
+    for entry, size in zip(manifest["arrays"], sizes):
+        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
+        params[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float64)
         offset += size * 8
     return params, manifest.get("meta", {})

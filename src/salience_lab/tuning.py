@@ -13,13 +13,17 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .features import DatasetSplit, split_users
+from .features import DatasetSplit, carve_validation
 from .models import ArchConfig, MelchiorModel, ModelError, TrainConfig, _epoch_loss
 from .models import make_batches, train as train_model
+
+
+#: Share of the training users carved out as the validation subset.
+VAL_FRACTION = 0.2
 
 
 class TuningError(ValueError):
@@ -166,8 +170,7 @@ def hyperband_run(
     schedule: BracketSchedule,
     split: DatasetSplit,
     seed: int,
-    objective: Optional[Callable] = None,
-    val_fraction: float = 0.2,
+    objective: Callable,
 ) -> HyperbandResult:
     """Run every bracket; promote the top 1/eta per round by validation loss.
 
@@ -175,15 +178,13 @@ def hyperband_run(
     any trial runs, so validation users never appear in a trial's training
     data.  Deterministic for a fixed seed: configs are sampled in trial
     order and each trial's RNG stream derives from (seed, trial index).
+    objective(config, epochs, trial_seed, fit_traces, val_traces) returns a
+    trial's validation loss; default_objective trains a melchior model.
     """
     space.validate()
-    ids = [t.user_id for t in split.train]
-    fit_users, val_users = split_users(ids, 1.0 - val_fraction, seed)
-    fit_traces = [t for t in split.train if t.user_id in fit_users]
-    val_traces = [t for t in split.train if t.user_id in val_users]
+    fit_traces, val_traces = carve_validation(split.train, VAL_FRACTION, seed)
     if not fit_traces or not val_traces:
         raise TuningError("training split too small to carve a validation subset")
-    objective = objective or default_objective(split)
 
     sampler = np.random.default_rng(np.random.SeedSequence((seed, 0xBEEF)))
     trials: list[TrialResult] = []

@@ -17,7 +17,7 @@ from salience_lab.cli import (
     main,
     validate_config,
 )
-from salience_lab.features import load_dataset
+from salience_lab.features import load_dataset, target_medians
 from salience_lab.telemetry import CSV_COLUMNS
 
 SMOKE = str(Path(__file__).resolve().parents[1] / "src/salience_lab/configs/smoke.json")
@@ -101,6 +101,33 @@ def test_unsupported_checkpoint_version_exits_2_with_an_error(pipeline_dir, tmp_
     path.write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["--config", SMOKE, "--out", str(out), "evaluate"]) == 2
     assert "error: unsupported checkpoint version 99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [-8, 64], ids=["short", "long"])
+def test_checkpoint_bin_of_the_wrong_length_exits_2_with_an_error(pipeline_dir, tmp_path,
+                                                                  capsys, extra):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    path = out / "models" / "td_mlp.bin"
+    blob = path.read_bytes()
+    path.write_bytes(blob[:extra] if extra < 0 else blob + bytes(extra))
+    assert main(["--config", SMOKE, "--out", str(out), "evaluate"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: checkpoint {path} holds {len(blob) + extra} bytes" in err
+    assert f"td_mlp.json describes {len(blob)}" in err
+
+
+def test_embedding_2d_medians_are_the_target_medians(pipeline_dir):
+    split = load_dataset(pipeline_dir / "features")
+    with (pipeline_dir / "embed" / "embedding_2d.csv").open(newline="") as fh:
+        rows = {r["user_id"]: r for r in csv.DictReader(fh)}
+    assert sorted(rows) == sorted(t.user_id for t in split.test)
+    for trace in split.test:
+        medians = target_medians(trace, split.scaler)
+        row = rows[trace.user_id]
+        written = [row["ch"], row["median_st"], row["median_ss"], row["median_ab"]]
+        assert [float(v) for v in written] == [
+            0.0 if m is None else m for m in medians.values()]
 
 
 def test_cluster_covers_scope_users(pipeline_dir):

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from salience_lab.features import (
     BEHAVIOUR_FIELDS,
+    TARGETS,
     FeatureError,
+    FeaturizedTrace,
+    ScalerStats,
     build_dataset,
     build_vocab,
     churn_probability,
@@ -19,6 +22,7 @@ from salience_lab.features import (
     load_dataset,
     save_dataset,
     split_users,
+    target_medians,
 )
 from helpers import make_trace, random_trace
 
@@ -176,8 +180,9 @@ def test_scaler_inverse():
 
 def test_vocab_sorted_with_oov():
     vocab = build_vocab(["na", "eu", "na"])
-    assert vocab.as_mapping() == {"OOV": 0, "eu": 1, "na": 2}
-    assert vocab.encode("na") == 2
+    assert vocab.tokens == ("eu", "na")
+    assert [vocab.encode(t) for t in vocab.tokens] == [1, 2]
+    assert vocab.size == 3
     assert vocab.encode("jp") == 0
 
 
@@ -274,13 +279,38 @@ def test_dataset_round_trip(tmp_path, dataset):
     assert loaded.scaler == dataset.scaler
     assert loaded.vocabs == dataset.vocabs
     assert loaded.thresholds == dataset.thresholds
-    assert len(loaded.train) == len(dataset.train)
-    for a, b in zip(loaded.train, dataset.train):
-        assert a.user_id == b.user_id
-        assert np.array_equal(a.behaviour, b.behaviour)
-        assert np.array_equal(a.env_idx, b.env_idx)
-        assert np.array_equal(a.survival_time, b.survival_time)
-        assert np.array_equal(a.ab_mask, b.ab_mask)
+    for part in ("train", "test"):
+        ours, theirs = getattr(loaded, part), getattr(dataset, part)
+        assert ours and len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            assert (a.user_id, a.game_id, a.game_idx) == (b.user_id, b.game_id, b.game_idx)
+            for field in ("behaviour", "env_idx", "ab_mask", *TARGETS.values()):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), (part, field)
+
+
+def _featurized(churn, st, ss, ab, ab_mask):
+    n = len(churn)
+    return FeaturizedTrace(
+        user_id="u", game_id="g", game_idx=1, behaviour=np.zeros((n, 5)),
+        env_idx=np.zeros((n, 4), dtype=np.int64), churn=np.asarray(churn, dtype=float),
+        survival_time=np.asarray(st, dtype=float), survival_sessions=np.asarray(ss, dtype=float),
+        absence=np.asarray(ab, dtype=float), ab_mask=np.asarray(ab_mask, dtype=float),
+    )
+
+
+def test_target_medians_unscale_each_target_and_skip_masked_absence():
+    scaler = ScalerStats(names=("st", "ss", "ab"), mins=(10.0, 0.0, 2.0),
+                         maxs=(30.0, 4.0, 6.0))
+    trace = _featurized(churn=[0.5] * 4, st=[1.0, 0.5, 0.25, 0.0], ss=[0.75, 0.5, 0.25, 0.0],
+                        ab=[0.0, 1.0, 0.5, 0.0], ab_mask=[1, 1, 1, 0])
+    # unscaled: st 30, 20, 15, 10; ss 3, 2, 1, 0; observed ab 2, 6, 4
+    assert target_medians(trace, scaler) == {"ch": 0.5, "st": 17.5, "ss": 1.5, "ab": 4.0}
+
+
+def test_target_medians_of_a_length_one_trace_has_no_absence():
+    scaler = ScalerStats(names=("st", "ss", "ab"), mins=(0.0, 0.0, 0.0), maxs=(1.0, 1.0, 1.0))
+    medians = target_medians(_featurized([1.0], [0.0], [0.0], [0.0], [0.0]), scaler)
+    assert medians == {"ch": 1.0, "st": 0.0, "ss": 0.0, "ab": None}
 
 
 def test_dataset_requires_traces():
