@@ -3,15 +3,22 @@
 Brackets trade breadth for depth: bracket s starts ceil((s_max+1)/(s+1) *
 eta^s) configurations at R * eta^-s epochs and keeps the top floor(n / eta)
 after each round.  A fifth of the training users is carved out once as the
-validation subset; no trial ever trains on them.
+validation subset; no trial ever trains on them.  Trials run in forked worker
+processes, one per usable core, each pinned to one BLAS thread.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
+import multiprocessing
+import os
+import traceback
+from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable
 
@@ -165,6 +172,72 @@ def default_objective(split: DatasetSplit, batch_size: int = 32):
     return objective
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on; hyperband_run starts one worker per core."""
+    return len(os.sched_getaffinity(0))
+
+
+def _openblas_function(name: str):
+    """Entry point `name` (e.g. "set_num_threads") of the OpenBLAS numpy loaded, or None."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _pin_one_blas_thread() -> None:
+    """Run this process's BLAS calls on one thread; a no-op under a BLAS other than OpenBLAS.
+
+    One worker per core already keeps every core busy, and a second BLAS
+    thread per worker would only contend with the other workers.  One thread
+    also makes a trial's loss independent of the parent's thread count.
+    """
+    fn = _openblas_function("set_num_threads")
+    if fn is not None:
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = None
+        fn(1)
+
+
+def _trial_loss(objective: Callable, config: dict, epochs: int, seed: int, fit_traces,
+                val_traces) -> float:
+    """The objective's validation loss; inf for a trial that diverged."""
+    try:
+        loss = float(objective(config, epochs, seed, fit_traces, val_traces))
+    except (ModelError, FloatingPointError, OverflowError):
+        return math.inf
+    return loss if math.isfinite(loss) else math.inf
+
+
+def _trial_worker(conn, objective: Callable, fit_traces, val_traces) -> None:
+    """Body of a forked worker: answer each (config, epochs, seed) on conn.
+
+    The objective and the traces are inherited through fork, not sent.  The
+    reply is (loss, None), or (None, (error, formatted traceback)) when the
+    objective raised an error other than divergence.
+    """
+    _pin_one_blas_thread()
+    while True:
+        try:
+            config, epochs, seed = conn.recv()
+        except EOFError:  # the parent closed its end
+            return
+        try:
+            reply = (_trial_loss(objective, config, epochs, seed, fit_traces, val_traces), None)
+        except Exception as exc:  # re-raised by the parent, which then stops every worker
+            reply = (None, (exc, traceback.format_exc()))
+        conn.send(reply)
+
+
+class _RemoteTraceback(Exception):
+    """The traceback of an error raised in a worker, chained as that error's cause."""
+
+
 def hyperband_run(
     space: SearchSpace,
     schedule: BracketSchedule,
@@ -176,10 +249,19 @@ def hyperband_run(
 
     The validation subset is carved from the training split by user before
     any trial runs, so validation users never appear in a trial's training
-    data.  Deterministic for a fixed seed: configs are sampled in trial
-    order and each trial's RNG stream derives from (seed, trial index).
+    data.  Every bracket's configs are sampled up front, in trial order, and
+    each trial's RNG stream derives from (seed, trial index).
+
     objective(config, epochs, trial_seed, fit_traces, val_traces) returns a
-    trial's validation loss; default_objective trains a melchior model.
+    trial's validation loss; default_objective trains a melchior model.  It
+    runs in forked worker processes, one per usable core and each at one
+    OpenBLAS thread, so it must be a pure function of its arguments: what it
+    changes outside its return value is lost.  All brackets' first rounds are
+    queued at once; a bracket's next round is queued when its current round
+    has fully returned.  The result, and the order of `trials`, equal those
+    of running every trial in turn in one process, whatever the core count.
+    A worker that dies raises TuningError naming its trial; any other error
+    the objective raises, apart from divergence, is raised here.
     """
     space.validate()
     fit_traces, val_traces = carve_validation(split.train, VAL_FRACTION, seed)
@@ -187,57 +269,90 @@ def hyperband_run(
         raise TuningError("training split too small to carve a validation subset")
 
     sampler = np.random.default_rng(np.random.SeedSequence((seed, 0xBEEF)))
-    trials: list[TrialResult] = []
-    finalists: list[tuple[float, int, dict]] = []
+    # lineups[b][r]: the entrants of bracket b's round r, in the order they are logged
+    lineups: list[list[list[dict]]] = []
     trial_counter = 0
-
-    for b_idx, bracket in enumerate(schedule.brackets):
-        first = bracket.rounds[0]
+    for bracket in schedule.brackets:
         entrants = []
-        for _ in range(first.n_configs):
+        for _ in range(bracket.rounds[0].n_configs):
             config = space.sample(sampler)
             trial_seed = int(
                 np.random.SeedSequence((seed, trial_counter)).generate_state(1)[0]
             )
             entrants.append({"trial": trial_counter, "config": config, "seed": trial_seed})
             trial_counter += 1
+        lineups.append([entrants])
 
-        for r_idx, rnd in enumerate(bracket.rounds):
-            entrants = entrants[: rnd.n_configs]
-            scored = []
-            for ent in entrants:
-                try:
-                    loss = float(
-                        objective(ent["config"], rnd.epochs, ent["seed"], fit_traces,
-                                  val_traces)
-                    )
-                except (ModelError, FloatingPointError, OverflowError):
-                    loss = math.inf
-                if not math.isfinite(loss):
-                    loss = math.inf
-                trials.append(
-                    TrialResult(
-                        bracket=bracket.s,
-                        round=r_idx,
-                        trial=ent["trial"],
-                        config=ent["config"],
-                        epochs=rnd.epochs,
-                        val_loss=loss,
-                        seed=ent["seed"],
-                    )
-                )
-                scored.append((loss, ent))
+    losses: dict[tuple[int, int], float] = {}  # (round, trial) -> validation loss
+    ready = deque((b, 0, ent) for b, rounds in enumerate(lineups) for ent in rounds[0])
+    # Running every trial in turn would stop at the first bracket whose round fully
+    # diverges, so no bracket after it counts.
+    stop_at, failure = len(lineups), None
+    ctx = multiprocessing.get_context("fork")
+    workers = {}  # parent end of each worker's pipe -> its process
+    running = {}  # parent end -> the (bracket, round, entrant) its worker runs
+    try:
+        for _ in range(min(_usable_cores(), trial_counter)):
+            conn, child_end = ctx.Pipe()
+            process = ctx.Process(target=_trial_worker, daemon=True,
+                                  args=(child_end, objective, fit_traces, val_traces))
+            process.start()
+            workers[conn] = process
+            child_end.close()  # so the parent reads EOF once the worker exits
+        idle = list(workers)
+        while ready or any(b <= stop_at for b, _, _ in running.values()):
+            while ready and idle:
+                conn = idle.pop()
+                b, r, ent = running[conn] = ready.popleft()
+                conn.send((ent["config"], schedule.brackets[b].rounds[r].epochs, ent["seed"]))
+            conn = wait(list(running))[0]
+            b, r, ent = running.pop(conn)
+            try:
+                loss, error = conn.recv()
+            except EOFError:
+                workers[conn].join()
+                raise TuningError(
+                    f"a tuning worker died (exit code {workers[conn].exitcode}) while running "
+                    f"trial {ent['trial']} (seed {ent['seed']})") from None
+            if error is not None:
+                raise error[0] from _RemoteTraceback(error[1])
+            idle.append(conn)
+            if b > stop_at:
+                continue
+            losses[(r, ent["trial"])] = loss
+            lineup = lineups[b][r]
+            if any((r, e["trial"]) not in losses for e in lineup):
+                continue
+            scored = sorted(((losses[(r, e["trial"])], e) for e in lineup),
+                            key=lambda pair: (pair[0], pair[1]["trial"]))
+            rounds = schedule.brackets[b].rounds
             if all(math.isinf(loss) for loss, _ in scored):
-                seeds = sorted(ent["seed"] for _, ent in scored)
-                raise TuningError(f"all trials diverged in bracket {bracket.s}: seeds {seeds}")
-            scored.sort(key=lambda pair: (pair[0], pair[1]["trial"]))
-            if r_idx + 1 < len(bracket.rounds):
-                keep = max(1, len(scored) // schedule.eta)
-                entrants = [ent for _, ent in scored[:keep]]
-            else:
-                best_loss, best_ent = scored[0]
-                finalists.append((best_loss, best_ent["trial"], best_ent["config"]))
+                seeds = sorted(e["seed"] for e in lineup)
+                stop_at = b
+                failure = f"all trials diverged in bracket {schedule.brackets[b].s}: seeds {seeds}"
+                ready = deque(job for job in ready if job[0] < b)
+            elif r + 1 < len(rounds):
+                keep = min(max(1, len(scored) // schedule.eta), rounds[r + 1].n_configs)
+                lineups[b].append([e for _, e in scored[:keep]])
+                ready.extend((b, r + 1, e) for e in lineups[b][-1])
+    finally:
+        for conn, process in workers.items():
+            process.terminate()
+            process.join()
+            conn.close()
+    if failure is not None:
+        raise TuningError(failure)
 
-    finalists.sort(key=lambda item: (item[0], item[1]))
-    best_loss, _, best_config = finalists[0]
+    trials: list[TrialResult] = []
+    finalists = []
+    for bracket, rounds in zip(schedule.brackets, lineups):
+        for r_idx, lineup in enumerate(rounds):
+            trials.extend(
+                TrialResult(bracket=bracket.s, round=r_idx, trial=ent["trial"],
+                            config=ent["config"], epochs=bracket.rounds[r_idx].epochs,
+                            val_loss=losses[(r_idx, ent["trial"])], seed=ent["seed"])
+                for ent in lineup)
+        finalists.append(min((losses[(len(rounds) - 1, e["trial"])], e["trial"], e["config"])
+                             for e in rounds[-1]))
+    best_loss, _, best_config = min(finalists)
     return HyperbandResult(best_config=best_config, best_loss=best_loss, trials=trials)

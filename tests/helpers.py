@@ -1,10 +1,13 @@
-"""Trace builders and the acceptance verdict log shared by the test modules.
+"""Trace builders, a deadline and the acceptance verdict log shared by the test modules.
 
 Test modules import these by name; conftest.py keeps only pytest hooks and
 fixtures, so two conftest.py files on the import path never shadow each other.
 """
 
 from __future__ import annotations
+
+import contextlib
+import signal
 
 import numpy as np
 
@@ -76,3 +79,19 @@ def random_trace(rng: np.random.Generator, user_id: str, game_id: str = "g") -> 
         play_times,
         completed=bool(rng.integers(0, 2)),
     )
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail, rather than hang, when the block runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 import re
 import shutil
 from pathlib import Path
@@ -9,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import deadline
+from salience_lab import tuning
 from salience_lab.cli import (
     CliError,
     apply_overrides,
@@ -18,6 +22,7 @@ from salience_lab.cli import (
     validate_config,
 )
 from salience_lab.features import load_dataset, target_medians
+from salience_lab.neural import NeuralError
 from salience_lab.telemetry import CSV_COLUMNS
 
 SMOKE = str(Path(__file__).resolve().parents[1] / "src/salience_lab/configs/smoke.json")
@@ -115,6 +120,30 @@ def test_checkpoint_bin_of_the_wrong_length_exits_2_with_an_error(pipeline_dir, 
     err = capsys.readouterr().err
     assert f"error: checkpoint {path} holds {len(blob) + extra} bytes" in err
     assert f"td_mlp.json describes {len(blob)}" in err
+
+
+def _raises_in_worker(config, epochs, trial_seed, fit, val):
+    raise NeuralError(f"no layer for trial seed {trial_seed}")
+
+
+def _dies_in_worker(config, epochs, trial_seed, fit, val):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("objective, message", [
+    (_raises_in_worker, "error: no layer for trial seed "),
+    (_dies_in_worker, "error: a tuning worker died (exit code 3) while running trial "),
+], ids=["raises", "dies"])
+def test_tune_trial_failure_exits_2_with_an_error(pipeline_dir, tmp_path, monkeypatch,
+                                                  capsys, objective, message):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    monkeypatch.setattr(tuning, "default_objective", lambda split, batch_size: objective)
+    with deadline(60):
+        assert main(["--config", SMOKE, "--out", str(out), "tune"]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (out / "tune").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_embedding_2d_medians_are_the_target_medians(pipeline_dir):
