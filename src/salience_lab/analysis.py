@@ -354,12 +354,8 @@ class PartitionProfile:
 
     def ranked_by_median_ss(self) -> list[int]:
         """Cluster ids ordered by ascending median remaining-session count."""
-        usable = [
-            (v["targets"]["ss"]["q2"], k)
-            for k, v in self.clusters.items()
-            if v["count"] > 0
-        ]
-        return [k for _, k in sorted(usable)]
+        return [k for _, k in sorted((v["targets"]["ss"]["q2"], k)
+                                     for k, v in self.clusters.items())]
 
 
 def profile_partitions(
@@ -371,8 +367,7 @@ def profile_partitions(
     """Mean +/- 95% CI of unscaled inputs per session index, per cluster.
 
     Target distributions are quartiles over each member's target_medians; a
-    member with no observed absence adds nothing to `ab`.  A cluster a user
-    was never assigned to is reported with count 0.
+    member with no observed absence adds nothing to `ab`.
     """
     by_user = {t.user_id: t for t in traces}
     missing = [u for u in assignments if u not in by_user]
@@ -385,12 +380,6 @@ def profile_partitions(
         members = [by_user[u] for u, c in assignments.items() if c == cid]
         members.sort(key=lambda t: t.user_id)
         entry: dict = {"count": len(members)}
-        if not members:
-            entry["curves"] = {}
-            entry["targets"] = {}
-            clusters[cid] = entry
-            continue
-
         t_max = min(max_session_index, max(m.length for m in members))
         curves: dict[str, list] = {}
         for j, name in enumerate(BEHAVIOUR_FIELDS):

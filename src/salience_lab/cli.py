@@ -286,8 +286,6 @@ def _build_and_train(config: dict, split: DatasetSplit, kind: str):
 
 
 def cmd_train(config: dict, out: Path, kind: str) -> None:
-    if kind not in MODEL_KINDS:
-        raise CliError(f"--model must be one of {MODEL_KINDS}, got '{kind}'")
     split = _load_split(out)
     model, history = _build_and_train(config, split, kind)
     model_dir = out / "models"
@@ -456,8 +454,6 @@ def cmd_report(config: dict, out: Path) -> None:
     for metric in ("session_time", "delta_session"):
         curves = {}
         for cid, entry in sorted(profile.items()):
-            if not entry.get("curves"):
-                continue
             rows = entry["curves"][metric]
             curves[f"cluster {cid} (n={entry['count']})"] = [
                 (r["session"], r["mean"], r["ci"]) for r in rows if r["mean"] is not None

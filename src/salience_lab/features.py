@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -226,23 +226,11 @@ class Vocabularies:
     game: Vocab
 
     def to_dict(self) -> dict:
-        return {
-            "hour": list(self.hour.tokens),
-            "weekday": list(self.weekday.tokens),
-            "yearday": list(self.yearday.tokens),
-            "region": list(self.region.tokens),
-            "game": list(self.game.tokens),
-        }
+        return {f.name: list(getattr(self, f.name).tokens) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Vocabularies":
-        return cls(
-            hour=Vocab(tuple(d["hour"])),
-            weekday=Vocab(tuple(d["weekday"])),
-            yearday=Vocab(tuple(d["yearday"])),
-            region=Vocab(tuple(d["region"])),
-            game=Vocab(tuple(d["game"])),
-        )
+        return cls(**{f.name: Vocab(tuple(d[f.name])) for f in fields(cls)})
 
 
 def _user_rank(seed: int, user_id: str) -> int:

@@ -24,7 +24,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import neural
-from .features import TARGETS, DatasetSplit, FeaturizedTrace, Vocabularies, carve_validation
+from .features import (ENV_FIELDS, TARGETS, DatasetSplit, FeaturizedTrace, Vocabularies,
+                       carve_validation)
 from .neural import (AdamState, Dense, Embedding, GruLayer, bce_loss, bce_terms, smape_loss,
                      smape_terms)
 
@@ -51,7 +52,7 @@ class Batch:
     """Padded variable-length sequences with a validity mask."""
 
     behaviour: np.ndarray  # (B, T, 5) float64
-    env_idx: np.ndarray  # (B, T, 4) int64
+    env_idx: np.ndarray  # (B, T, len(ENV_FIELDS)) int64
     game_idx: np.ndarray  # (B,) int64
     mask: np.ndarray  # (B, T) 1.0 on valid steps
     targets: dict[str, np.ndarray]  # name -> (B, T)
@@ -72,7 +73,7 @@ def make_batches(traces: Sequence[FeaturizedTrace], batch_size: int) -> list[Bat
         B = len(chunk)
         T = max(t.length for t in chunk)
         behaviour = np.zeros((B, T, chunk[0].behaviour.shape[1]))
-        env_idx = np.zeros((B, T, 4), dtype=np.int64)
+        env_idx = np.zeros((B, T, len(ENV_FIELDS)), dtype=np.int64)
         mask = np.zeros((B, T))
         ab_mask = np.zeros((B, T))
         targets = {name: np.zeros((B, T)) for name in TARGETS}
@@ -148,47 +149,71 @@ class ArchConfig:
 
 
 class _EmbeddingBank:
-    """Hour/weekday/yearday/region/game embeddings used by both networks."""
+    """Embeddings of the context fields (features.ENV_FIELDS) and of the game.
+
+    The day-of-year table gets twice the base width.
+    """
 
     def __init__(self, vocabs: Vocabularies, emb_dim: int, rng: np.random.Generator):
-        self.tables = {
-            "hour": Embedding(vocabs.hour.size, emb_dim, rng, "emb_hour"),
-            "weekday": Embedding(vocabs.weekday.size, emb_dim, rng, "emb_weekday"),
-            "yearday": Embedding(vocabs.yearday.size, 2 * emb_dim, rng, "emb_yearday"),
-            "region": Embedding(vocabs.region.size, emb_dim, rng, "emb_region"),
-        }
+        widths = [2 * emb_dim if name == "yearday" else emb_dim for name in ENV_FIELDS]
+        self.tables = [Embedding(getattr(vocabs, name).size, width, rng, f"emb_{name}")
+                       for name, width in zip(ENV_FIELDS, widths)]
         self.game = Embedding(vocabs.game.size, emb_dim, rng, "emb_game")
-        self.env_width = 5 * emb_dim
+        self.splits = np.cumsum(widths)[:-1]
+        self.env_width = sum(widths)
         self.game_width = emb_dim
 
-    def env_forward(self, env_idx: np.ndarray) -> np.ndarray:
-        parts = [
-            self.tables["hour"].forward(env_idx[..., 0]),
-            self.tables["weekday"].forward(env_idx[..., 1]),
-            self.tables["yearday"].forward(env_idx[..., 2]),
-            self.tables["region"].forward(env_idx[..., 3]),
-        ]
-        return np.concatenate(parts, axis=-1)
+    def forward(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+        """Context embeddings (B, T, env_width) and the game's, per step (B, T, game_width)."""
+        env = np.concatenate([table.forward(batch.env_idx[..., j])
+                              for j, table in enumerate(self.tables)], axis=-1)
+        game = self.game.forward(batch.game_idx)
+        return env, np.broadcast_to(game[:, None, :], (*env.shape[:-1], self.game_width))
 
-    def env_backward(self, dout: np.ndarray, emb_dim: int) -> None:
-        dh, dw, dy, dr = np.split(dout, [emb_dim, 2 * emb_dim, 4 * emb_dim], axis=-1)
-        self.tables["hour"].backward(dh)
-        self.tables["weekday"].backward(dw)
-        self.tables["yearday"].backward(dy)
-        self.tables["region"].backward(dr)
+    def backward(self, d_env: np.ndarray, d_game: np.ndarray) -> None:
+        for table, d in zip(self.tables, np.split(d_env, self.splits, axis=-1)):
+            table.backward(d)
+        self.game.backward(d_game.sum(axis=1))
 
     def layers(self) -> list:
-        return list(self.tables.values()) + [self.game]
+        return self.tables + [self.game]
+
+
+def _tanh_stack(in_dim: int, width: int, depth: int, rng: np.random.Generator,
+                prefix: str) -> list[Dense]:
+    """depth tanh Dense layers of the given width, named prefix0, prefix1, ..."""
+    return [Dense(in_dim if i == 0 else width, width, "tanh", rng, f"{prefix}{i}")
+            for i in range(depth)]
 
 
 class _GradientModel:
-    """Shared parameter bookkeeping for the backprop-trained estimators.
+    """Construction and parameter bookkeeping of the backprop-trained estimators.
 
-    All parameters live in one flat vector theta and their gradients in one
+    A model draws from its own stream (seed, cls.stream): the embedding bank,
+    then the layers its _build(rng) returns, then the four output heads.  All
+    parameters live in one flat vector theta and their gradients in one
     vector grad; the layers' arrays and the params()/grads() entries are views.
     """
 
     kind = "abstract"
+
+    def __init__(self, vocabs: Vocabularies, arch: ArchConfig = ArchConfig(), seed: int = 0):
+        arch.validate()
+        self.arch = arch
+        self.vocabs = vocabs
+        self.seed = seed
+        rng = np.random.default_rng(np.random.SeedSequence((seed, self.stream)))
+        self.bank = _EmbeddingBank(vocabs, arch.emb_dim, rng)
+        own, width = self._build(rng)
+        self.heads = {
+            name: Dense(width, 1, activation, rng, f"head_{name}")
+            for name, (activation, _, _) in HEADS.items()
+        }
+        self._own(self.bank.layers() + own + list(self.heads.values()))
+
+    def _build(self, rng: np.random.Generator) -> tuple[list, int]:
+        """Draw the model's own layers; return them and the width the heads read."""
+        raise NotImplementedError
 
     def _own(self, layers: list) -> None:
         """Move every layer's arrays into theta and grad; build the name dicts."""
@@ -209,13 +234,6 @@ class _GradientModel:
 
     def grads(self) -> dict[str, np.ndarray]:
         return self._grads
-
-    def _build_heads(self, width: int, rng: np.random.Generator) -> list[Dense]:
-        self.heads = {
-            name: Dense(width, 1, activation, rng, f"head_{name}")
-            for name, (activation, _, _) in HEADS.items()
-        }
-        return list(self.heads.values())
 
     def _heads_forward(self, x: np.ndarray) -> dict[str, np.ndarray]:
         return {name: head.forward(x)[..., 0] for name, head in self.heads.items()}
@@ -253,27 +271,15 @@ class TdMlp(_GradientModel):
     """Per-step perceptron; strictly Markovian (no state across steps)."""
 
     kind = "td_mlp"
+    stream = 1
 
-    def __init__(self, vocabs: Vocabularies, arch: ArchConfig = ArchConfig(), seed: int = 0):
-        arch.validate()
-        self.arch = arch
-        self.vocabs = vocabs
-        self.seed = seed
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        self.bank = _EmbeddingBank(vocabs, arch.emb_dim, rng)
+    def _build(self, rng: np.random.Generator) -> tuple[list, int]:
         in_dim = 5 + self.bank.env_width + self.bank.game_width
-        self.hidden = []
-        width = arch.hidden_width
-        for i in range(arch.layers):
-            self.hidden.append(Dense(in_dim if i == 0 else width, width, "tanh", rng, f"mlp{i}"))
-        self._own(self.bank.layers() + self.hidden + self._build_heads(width, rng))
+        self.hidden = _tanh_stack(in_dim, self.arch.hidden_width, self.arch.layers, rng, "mlp")
+        return self.hidden, self.arch.hidden_width
 
     def forward(self, batch: Batch) -> dict[str, np.ndarray]:
-        B, T, _ = batch.behaviour.shape
-        env = self.bank.env_forward(batch.env_idx)
-        game = self.bank.game.forward(batch.game_idx)  # (B, emb)
-        game_t = np.broadcast_to(game[:, None, :], (B, T, game.shape[-1])).copy()
-        x = np.concatenate([batch.behaviour, env, game_t], axis=-1)
+        x = np.concatenate([batch.behaviour, *self.bank.forward(batch)], axis=-1)
         for layer in self.hidden:
             x = layer.forward(x)
         return self._heads_forward(x)
@@ -282,60 +288,35 @@ class TdMlp(_GradientModel):
         dx = self._heads_backward(douts)
         for layer in reversed(self.hidden):
             dx = layer.backward(dx)
-        d_env = dx[..., 5 : 5 + self.bank.env_width]
-        d_game = dx[..., 5 + self.bank.env_width :]
-        self.bank.env_backward(d_env, self.arch.emb_dim)
-        self.bank.game.backward(d_game.sum(axis=1))
+        _, d_env, d_game = np.split(dx, [5, 5 + self.bank.env_width], axis=-1)
+        self.bank.backward(d_env, d_game)
 
 
 class MelchiorModel(_GradientModel):
     """Multitask recurrent estimator; the recurrent state is the embedding z."""
 
     kind = "melchior"
+    stream = 2
+    _hidden: Optional[np.ndarray] = None
 
-    def __init__(self, vocabs: Vocabularies, arch: ArchConfig = ArchConfig(), seed: int = 0):
-        arch.validate()
-        self.arch = arch
-        self.vocabs = vocabs
-        self.seed = seed
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
-        self.bank = _EmbeddingBank(vocabs, arch.emb_dim, rng)
-        branch = max(8, arch.hidden_width // 2)
-        self.branch_width = branch
-
-        def stack(in_dim: int, prefix: str) -> list[Dense]:
-            layers = []
-            for i in range(arch.layers):
-                layers.append(
-                    Dense(in_dim if i == 0 else branch, branch, "tanh", rng, f"{prefix}{i}")
-                )
-            return layers
-
-        self.beh_branch = stack(5, "beh")
-        self.env_branch = stack(self.bank.env_width, "env")
+    def _build(self, rng: np.random.Generator) -> tuple[list, int]:
+        arch = self.arch
+        self.branch_width = branch = max(8, arch.hidden_width // 2)
+        self.beh_branch = _tanh_stack(5, branch, arch.layers, rng, "beh")
+        self.env_branch = _tanh_stack(self.bank.env_width, branch, arch.layers, rng, "env")
         self.fusion = Dense(2 * branch + self.bank.game_width, arch.hidden_width, "tanh",
                             rng, "fusion")
         self.gru = GruLayer(arch.hidden_width, arch.d_z, rng, "salience")
-        self._own(
-            self.bank.layers()
-            + self.beh_branch
-            + self.env_branch
-            + [self.fusion, self.gru]
-            + self._build_heads(arch.d_z, rng)
-        )
-        self._hidden = None
+        return self.beh_branch + self.env_branch + [self.fusion, self.gru], arch.d_z
 
     def forward(self, batch: Batch) -> dict[str, np.ndarray]:
-        B, T, _ = batch.behaviour.shape
         beh = batch.behaviour
         for layer in self.beh_branch:
             beh = layer.forward(beh)
-        env = self.bank.env_forward(batch.env_idx)
+        env, game = self.bank.forward(batch)
         for layer in self.env_branch:
             env = layer.forward(env)
-        game = self.bank.game.forward(batch.game_idx)
-        game_t = np.broadcast_to(game[:, None, :], (B, T, game.shape[-1])).copy()
-        fused = self.fusion.forward(np.concatenate([beh, env, game_t], axis=-1))
+        fused = self.fusion.forward(np.concatenate([beh, env, game], axis=-1))
         z = self.gru.forward(fused, mask=batch.mask)
         self._hidden = z
         return self._heads_forward(z)
@@ -349,17 +330,13 @@ class MelchiorModel(_GradientModel):
 
     def backward(self, douts: Mapping[str, np.ndarray]) -> None:
         dfused = self.gru.backward(self._heads_backward(douts))
-        dcat = self.fusion.backward(dfused)
         b = self.branch_width
-        d_beh = dcat[..., :b]
-        d_env = dcat[..., b : 2 * b]
-        d_game = dcat[..., 2 * b :]
+        d_beh, d_env, d_game = np.split(self.fusion.backward(dfused), [b, 2 * b], axis=-1)
         for layer in reversed(self.beh_branch):
             d_beh = layer.backward(d_beh)
         for layer in reversed(self.env_branch):
             d_env = layer.backward(d_env)
-        self.bank.env_backward(d_env, self.arch.emb_dim)
-        self.bank.game.backward(d_game.sum(axis=1))
+        self.bank.backward(d_env, d_game)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +452,7 @@ class TdEnet:
     """Per-target elastic-net linear model on one-hot context; order 1.
 
     The design row of a step is its 5 behaviour features, then one one-hot
-    block each for hour, weekday, yearday, region and game.
+    block each for the context fields (features.ENV_FIELDS) and the game.
     """
 
     kind = "td_enet"
@@ -490,13 +467,7 @@ class TdEnet:
         self.weights: dict[str, np.ndarray] = {}
         #: target -> (iterations run, whether tol was met) of the last fit
         self.convergence: dict[str, tuple[int, bool]] = {}
-        self._onehot_sizes = (
-            vocabs.hour.size,
-            vocabs.weekday.size,
-            vocabs.yearday.size,
-            vocabs.region.size,
-            vocabs.game.size,
-        )
+        self._onehot_sizes = tuple(getattr(vocabs, name).size for name in (*ENV_FIELDS, "game"))
         self._block_starts = 5 + np.cumsum((0,) + self._onehot_sizes[:-1])
 
     @property
@@ -506,7 +477,7 @@ class TdEnet:
     def _hot_columns(self, env_idx: np.ndarray, game_idx: np.ndarray) -> np.ndarray:
         """Design column of each one-hot block's 1 per step: (..., 5) int64.
 
-        env_idx is (..., 4) and game_idx has the same leading shape.
+        env_idx is (..., len(ENV_FIELDS)) and game_idx has the same leading shape.
         """
         return np.concatenate([env_idx, game_idx[..., None]], axis=-1) + self._block_starts
 
@@ -803,10 +774,8 @@ def load_model(path: str | Path, vocabs: Vocabularies):
     kind = meta.get("kind")
     if kind == "td_enet":
         model = TdEnet(vocabs, **meta["enet"])
-    elif kind == "td_mlp":
-        model = TdMlp(vocabs, ArchConfig(**meta["arch"]), meta["seed"])
-    elif kind == "melchior":
-        model = MelchiorModel(vocabs, ArchConfig(**meta["arch"]), meta["seed"])
+    elif kind in ("td_mlp", "melchior"):
+        model = build_model(kind, vocabs, ArchConfig(**meta["arch"]), meta["seed"])
     else:
         raise ModelError(f"unknown model kind {kind!r} in checkpoint")
     model.set_params(params)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -391,6 +392,74 @@ def test_writes_through_theta_change_forward_and_zero_grads_clears_grad(dataset,
     assert np.any(model.grad != 0.0)
     model.zero_grads()
     assert all(np.all(g == 0.0) for g in model.grads().values())
+
+
+#: Per (model kind, architecture) at seed 3 on the dataset fixture: "name:shape"
+#: of each parameter in params() order, and the sha256 of theta.tobytes().  They pin
+#: the RNG draw order (embedding bank, the model's own layers, then heads), which
+#: every trained model and every file derived from one depends on.
+_DEEP_ARCH = ArchConfig(hidden_width=16, d_z=8, layers=2, emb_dim=4)
+_PINNED_CONSTRUCTION = {
+    ("td_mlp", "small"): (
+        "emb_hour.W:25x4 emb_weekday.W:8x4 emb_yearday.W:367x8 emb_region.W:5x4 "
+        "emb_game.W:4x4 mlp0.W:16x29 mlp0.b:16 head_ch.W:1x16 head_ch.b:1 head_st.W:1x16 "
+        "head_st.b:1 head_ss.W:1x16 head_ss.b:1 head_ab.W:1x16 head_ab.b:1",
+        "88c80040c9be2a35977dbfd3b8bc66c6b5548a71e3916d680244d4389e55cdd9",
+    ),
+    ("td_mlp", "default"): (
+        "emb_hour.W:25x8 emb_weekday.W:8x8 emb_yearday.W:367x16 emb_region.W:5x8 "
+        "emb_game.W:4x8 mlp0.W:64x53 mlp0.b:64 head_ch.W:1x64 head_ch.b:1 head_st.W:1x64 "
+        "head_st.b:1 head_ss.W:1x64 head_ss.b:1 head_ab.W:1x64 head_ab.b:1",
+        "1566b62c274875e809200adcc69da6a5e3faaa25ef885127a78732a2833c9267",
+    ),
+    ("td_mlp", "deep"): (
+        "emb_hour.W:25x4 emb_weekday.W:8x4 emb_yearday.W:367x8 emb_region.W:5x4 "
+        "emb_game.W:4x4 mlp0.W:16x29 mlp0.b:16 mlp1.W:16x16 mlp1.b:16 head_ch.W:1x16 "
+        "head_ch.b:1 head_st.W:1x16 head_st.b:1 head_ss.W:1x16 head_ss.b:1 head_ab.W:1x16 "
+        "head_ab.b:1",
+        "d2128e7dbfc9c99db85dc258f80d7f1b8e7982c5a28d2f32f4461bd66030ce7a",
+    ),
+    ("melchior", "small"): (
+        "emb_hour.W:25x4 emb_weekday.W:8x4 emb_yearday.W:367x8 emb_region.W:5x4 "
+        "emb_game.W:4x4 beh0.W:8x5 beh0.b:8 env0.W:8x20 env0.b:8 fusion.W:16x20 fusion.b:16 "
+        "salience.Wz:8x16 salience.Uz:8x8 salience.bz:8 salience.Wr:8x16 salience.Ur:8x8 "
+        "salience.br:8 salience.Wn:8x16 salience.Un:8x8 salience.bn:8 head_ch.W:1x8 "
+        "head_ch.b:1 head_st.W:1x8 head_st.b:1 head_ss.W:1x8 head_ss.b:1 head_ab.W:1x8 "
+        "head_ab.b:1",
+        "5eed935e4d91ff9f38bd166a318b9d82655c690777ff4b437004cfb3b9661090",
+    ),
+    ("melchior", "default"): (
+        "emb_hour.W:25x8 emb_weekday.W:8x8 emb_yearday.W:367x16 emb_region.W:5x8 "
+        "emb_game.W:4x8 beh0.W:32x5 beh0.b:32 env0.W:32x40 env0.b:32 fusion.W:64x72 "
+        "fusion.b:64 salience.Wz:32x64 salience.Uz:32x32 salience.bz:32 salience.Wr:32x64 "
+        "salience.Ur:32x32 salience.br:32 salience.Wn:32x64 salience.Un:32x32 salience.bn:32 "
+        "head_ch.W:1x32 head_ch.b:1 head_st.W:1x32 head_st.b:1 head_ss.W:1x32 head_ss.b:1 "
+        "head_ab.W:1x32 head_ab.b:1",
+        "33173b8f40d83220ea103531bcbab32c95de8e6358914029c34a560582e75c6b",
+    ),
+    ("melchior", "deep"): (
+        "emb_hour.W:25x4 emb_weekday.W:8x4 emb_yearday.W:367x8 emb_region.W:5x4 "
+        "emb_game.W:4x4 beh0.W:8x5 beh0.b:8 beh1.W:8x8 beh1.b:8 env0.W:8x20 env0.b:8 "
+        "env1.W:8x8 env1.b:8 fusion.W:16x20 fusion.b:16 salience.Wz:8x16 salience.Uz:8x8 "
+        "salience.bz:8 salience.Wr:8x16 salience.Ur:8x8 salience.br:8 salience.Wn:8x16 "
+        "salience.Un:8x8 salience.bn:8 head_ch.W:1x8 head_ch.b:1 head_st.W:1x8 head_st.b:1 "
+        "head_ss.W:1x8 head_ss.b:1 head_ab.W:1x8 head_ab.b:1",
+        "c7c151a2236a718a8acd5c13d99e0e1c4526966b6d8250ed9869d7c5e7d5e069",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, arch_name", list(_PINNED_CONSTRUCTION))
+def test_construction_is_pinned(dataset, kind, arch_name):
+    arch = {"small": SMALL_ARCH, "default": ArchConfig(), "deep": _DEEP_ARCH}[arch_name]
+    spec, digest = _PINNED_CONSTRUCTION[(kind, arch_name)]
+    entries = [entry.split(":") for entry in spec.split()]
+    model = build_model(kind, dataset.vocabs, arch, seed=3)
+    assert list(model.params()) == [name for name, _ in entries]
+    assert [model.params()[name].shape for name, _ in entries] == [
+        tuple(int(n) for n in shape.split("x")) for _, shape in entries
+    ]
+    assert hashlib.sha256(model.theta.tobytes()).hexdigest() == digest
 
 
 def _reference_train(model, split, config):
