@@ -26,8 +26,8 @@ import numpy as np
 from . import neural
 from .features import (ENV_FIELDS, TARGETS, DatasetSplit, FeaturizedTrace, Vocabularies,
                        carve_validation)
-from .neural import (AdamState, Dense, Embedding, GruLayer, bce_loss, bce_terms, smape_loss,
-                     smape_terms)
+from .neural import (AdamState, Dense, Embedding, GruLayer, Heads, bce_loss, bce_terms,
+                     smape_loss, smape_terms)
 
 #: Per target, in TARGETS order (the order heads draw from the RNG): the output
 #: head's activation, the masked loss and its per-element terms.
@@ -205,11 +205,9 @@ class _GradientModel:
         rng = np.random.default_rng(np.random.SeedSequence((seed, self.stream)))
         self.bank = _EmbeddingBank(vocabs, arch.emb_dim, rng)
         own, width = self._build(rng)
-        self.heads = {
-            name: Dense(width, 1, activation, rng, f"head_{name}")
-            for name, (activation, _, _) in HEADS.items()
-        }
-        self._own(self.bank.layers() + own + list(self.heads.values()))
+        self.heads = Heads(width, [f"head_{name}" for name in HEADS],
+                           [activation for activation, _, _ in HEADS.values()], rng)
+        self._own(self.bank.layers() + own + [self.heads])
 
     def _build(self, rng: np.random.Generator) -> tuple[list, int]:
         """Draw the model's own layers; return them and the width the heads read."""
@@ -236,14 +234,10 @@ class _GradientModel:
         return self._grads
 
     def _heads_forward(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: head.forward(x)[..., 0] for name, head in self.heads.items()}
+        return dict(zip(HEADS, self.heads.forward(x)))
 
     def _heads_backward(self, douts: Mapping[str, np.ndarray]) -> np.ndarray:
-        dx = None
-        for name, head in self.heads.items():
-            d = head.backward(douts[name][..., None])
-            dx = d if dx is None else dx + d
-        return dx
+        return self.heads.backward([douts[name] for name in HEADS])
 
     def zero_grads(self) -> None:
         self.grad[...] = 0.0
@@ -600,7 +594,8 @@ def train(
 
     By default a validation fraction is carved from the training split by
     user; the test split is never touched.  Returns the per-epoch history
-    and leaves the model holding its best-validation parameters.
+    and leaves the model holding its best-validation parameters; the row of
+    the epoch they come from carries "best": True.
     """
     config.validate()
     if train_traces is None or val_traces is None:
@@ -614,7 +609,7 @@ def train(
     adam = AdamState(lr=config.lr)
 
     history: list[dict] = []
-    best_val = math.inf
+    best_val, best_row = math.inf, None
     best_theta = model.theta.copy()
     stale = 0
     for epoch in range(config.epochs):
@@ -637,7 +632,7 @@ def train(
         val = _epoch_loss(model, val_batches, config.loss_weights)
         history.append({"epoch": epoch, "train": running / running_n, "val": val})
         if val < best_val - 1e-12:
-            best_val = val
+            best_val, best_row = val, history[-1]
             best_theta = model.theta.copy()
             stale = 0
         else:
@@ -645,6 +640,8 @@ def train(
             if stale >= config.patience:
                 break
     model.theta[...] = best_theta
+    if best_row is not None:
+        best_row["best"] = True
     return history
 
 

@@ -1,17 +1,20 @@
 """Deterministic float64 numeric core with exact backpropagation.
 
-Everything here is plain numpy: dense and gated-recurrent layers, embedding
-tables, the two masked losses (binary cross entropy and symmetric mean
-absolute percentage error), a bias-corrected Adam with global-norm gradient
-clipping, central-difference gradient checking, and a binary checkpoint
-format.  A model's parameters and gradients are two flat float64 vectors:
-each layer's base arrays (W, b, U) and gradients (gW, gb, gU), and their
-name -> ndarray views used by checkpoints and clipping ({name}.W, ...; the
-GRU's per-gate row blocks {name}.Wz ... {name}.bn), are views into them.
+Everything here is plain numpy: dense and gated-recurrent layers, one layer
+of several one-wide output heads, embedding tables, the two masked losses
+(binary cross entropy and symmetric mean absolute percentage error), a
+bias-corrected Adam with global-norm gradient clipping, central-difference
+gradient checking, and a binary checkpoint format.  A model's parameters
+and gradients are two flat float64 vectors: each layer's base arrays (W, b,
+U, Wb) and gradients (gW, gb, gU, gWb), and their name -> ndarray views used
+by checkpoints and clipping ({name}.W, ...; the GRU's per-gate row blocks
+{name}.Wz ... {name}.bn; each head's row {head}.W, {head}.b), are views into
+them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -107,21 +110,78 @@ class Dense(_Layer):
             raise NeuralError(
                 f"{self.name}: input width {x.shape} incompatible with weight {self.W.shape}"
             )
-        pre = x @ self.W.T + self.b
+        # Products on the (rows, width) reshape: one 2-D gemm, not one per leading index.
+        flat_x = x.reshape(-1, x.shape[-1])
+        pre = flat_x @ self.W.T + self.b
         f, _ = _ACTIVATIONS[self.activation]
         out = f(pre)
-        self._cache = (x, pre, out)
-        return out
+        self._cache = (x.shape, flat_x, pre, out)
+        return out.reshape(*x.shape[:-1], out.shape[-1])
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, pre, out = self._cache
+        shape, flat_x, pre, out = self._cache
         _, dact = _ACTIVATIONS[self.activation]
-        da = dout * dact(pre, out)
-        flat_x = x.reshape(-1, x.shape[-1])
-        flat_da = da.reshape(-1, da.shape[-1])
-        self.gW += flat_da.T @ flat_x
-        self.gb += flat_da.sum(axis=0)
-        return da @ self.W
+        da = dout.reshape(pre.shape) * dact(pre, out)
+        self.gW += da.T @ flat_x
+        self.gb += da.sum(axis=0)
+        return (da @ self.W).reshape(shape)
+
+
+class Heads(_Layer):
+    """Several one-wide Dense heads over one input, as one (k, in + 1) array Wb.
+
+    Row j holds head j's weights and then its bias; params and grads expose
+    them as the views {names[j]}.W (1, in) and {names[j]}.b (1,), so the
+    layout and the initial draws equal those of k Dense(in, 1) layers built
+    in turn.  forward is one product to a (k, rows) block whose consecutive
+    rows of one activation are activated together; backward is one product
+    each for the weight gradients and dx.
+    """
+
+    def __init__(self, in_dim: int, names: list[str], activations: list[str],
+                 rng: np.random.Generator):
+        self.in_dim = in_dim
+        self.names = names  # before the base array: _views reads both
+        Wb = np.zeros((len(names), in_dim + 1))
+        for row in Wb:
+            row[:in_dim] = glorot(rng, in_dim, 1)[0]
+        super().__init__("heads", Wb=Wb)
+        self.runs = []  # (activation, row slice) per run of equal activations
+        start = 0
+        for act, run in itertools.groupby(activations):
+            stop = start + len(list(run))
+            self.runs.append((act, slice(start, stop)))
+            start = stop
+
+    def _views(self, Wb: np.ndarray) -> dict[str, np.ndarray]:
+        views = {}
+        for j, name in enumerate(self.names):
+            views[f"{name}.W"] = Wb[j : j + 1, : self.in_dim]
+            views[f"{name}.b"] = Wb[j, self.in_dim :]
+        return views
+
+    def forward(self, x: np.ndarray) -> list[np.ndarray]:
+        """One output of x's leading shape per head."""
+        d = self.in_dim
+        if x.shape[-1] != d:
+            raise NeuralError(f"heads: input width {x.shape} incompatible with {d}")
+        flat_x = x.reshape(-1, d)
+        pre = self.Wb[:, :d] @ flat_x.T + self.Wb[:, d:]
+        out = np.empty_like(pre)
+        for act, rows in self.runs:
+            out[rows] = _ACTIVATIONS[act][0](pre[rows])
+        self._cache = (x.shape, flat_x, pre, out)
+        return [row.reshape(x.shape[:-1]) for row in out]
+
+    def backward(self, douts: list[np.ndarray]) -> np.ndarray:
+        shape, flat_x, pre, out = self._cache
+        da = np.stack([d.reshape(-1) for d in douts])
+        for act, rows in self.runs:
+            da[rows] *= _ACTIVATIONS[act][1](pre[rows], out[rows])
+        d = self.in_dim
+        self.gWb[:, :d] += da @ flat_x
+        self.gWb[:, d] += da.sum(axis=1)
+        return (da.T @ self.Wb[:, :d]).reshape(shape)
 
 
 class Embedding(_Layer):
@@ -172,8 +232,10 @@ class GruLayer(_Layer):
     params and grads expose the blocks as views under the names
     {name}.Wz ... {name}.bn, so a write through either side is seen by the
     other.  forward projects every step's input with one product before the
-    time loop; backward keeps each step's pre-activation gradients and forms
-    the weight gradients and dx after the loop, with four products and a sum.
+    time loop and writes each step's values into preallocated arrays; the
+    gates are evaluated as 0.5 + 0.5 tanh(a / 2).  backward keeps each step's
+    pre-activation gradients and forms the weight gradients and dx after the
+    loop, with four products and a sum.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: Optional[np.random.Generator] = None,
@@ -208,9 +270,15 @@ class GruLayer(_Layer):
         m = np.ones((T, B, 1)) if mask is None else np.ascontiguousarray(mask.T)[..., None]
         # On steps where every row is valid the blend is skipped: exact up to the sign of zero.
         full = m.min(axis=(1, 2)) == 1.0
-        U_zr, U_n = self.U[: 2 * H].T, self.U[2 * H :].T
-        # Input projections of every step in one product: (B, T, 3H).
-        ax = (x.reshape(B * T, self.in_dim) @ self.W.T + self.b).reshape(B, T, 3 * H)
+        # Input projections of every step in one product, time-major so ax[t] is contiguous.
+        x_tb = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(T * B, self.in_dim)
+        ax = (x_tb @ self.W.T + self.b).reshape(T, B, 3 * H)
+        # Gates as sigmoid(a) = 0.5 + 0.5 tanh(a / 2).  Halving is exact, so it is
+        # folded into the z, r input projections and recurrent weights once.  The
+        # per-step products run faster on C-ordered copies than on transposed views.
+        ax[..., : 2 * H] *= 0.5
+        U_zr = np.ascontiguousarray(0.5 * self.U[: 2 * H].T)
+        U_n = np.ascontiguousarray(self.U[2 * H :].T)
         hs = np.empty((T + 1, B, H))  # hs[t] is the state entering step t
         hs[0] = 0.0 if h0 is None else h0
         zr = np.empty((T, B, 2 * H))
@@ -218,14 +286,20 @@ class GruLayer(_Layer):
         rh = np.empty((T, B, H))
         hmn = np.empty((T, B, H))  # h - n, reused by backward
         for t in range(T):
-            h = hs[t]
-            zr[t] = sigmoid(ax[:, t, : 2 * H] + h @ U_zr)
-            np.multiply(zr[t, :, H:], h, out=rh[t])
-            np.tanh(ax[:, t, 2 * H :] + rh[t] @ U_n, out=n[t])
+            h, g, h_new = hs[t], zr[t], hs[t + 1]
+            np.matmul(h, U_zr, out=g)
+            g += ax[t, :, : 2 * H]
+            np.tanh(g, out=g)
+            g *= 0.5
+            g += 0.5
+            np.multiply(g[:, H:], h, out=rh[t])
+            np.matmul(rh[t], U_n, out=n[t])
+            n[t] += ax[t, :, 2 * H :]
+            np.tanh(n[t], out=n[t])
             np.subtract(h, n[t], out=hmn[t])
-            # h' = z * h + (1 - z) * n, written as n + z * (h - n)
-            h_new = hs[t + 1]
-            np.add(n[t], zr[t, :, :H] * hmn[t], out=h_new)
+            # h' = z * h + (1 - z) * n, written as z * (h - n) + n
+            np.multiply(g[:, :H], hmn[t], out=h_new)
+            h_new += n[t]
             if not full[t]:
                 np.add(m[t] * h_new, (1.0 - m[t]) * h, out=h_new)
         self._cache = (x, m, full, hs, zr, n, rh, hmn)
@@ -237,8 +311,10 @@ class GruLayer(_Layer):
         H = self.hidden
         U_zr, U_n = self.U[: 2 * H], self.U[2 * H :]
         z, r = zr[..., :H], zr[..., H:]
-        dzr_pre = zr * (1.0 - zr)  # sigmoid' of both gates
-        dn_pre = (1.0 - z) * (1.0 - n * n)  # d h' / d n times tanh'
+        # Per step, d a_z = dcand * dz_pre, d a_r = drh * dr_pre and d a_n = dcand * dn_pre.
+        dz_pre = hmn * (z * (1.0 - z))
+        dr_pre = hs[:T] * (r * (1.0 - r))
+        dn_pre = (1.0 - z) * (1.0 - n * n)
         da = np.empty((T, B, 3 * H))  # pre-activation gradients, gate order z, r, n
         dh = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
@@ -246,8 +322,8 @@ class GruLayer(_Layer):
             dcand = dh if full[t] else m[t] * dh
             np.multiply(dcand, dn_pre[t], out=da[t, :, 2 * H :])
             drh = da[t, :, 2 * H :] @ U_n
-            np.multiply(dcand * hmn[t], dzr_pre[t, :, :H], out=da[t, :, :H])
-            np.multiply(drh * hs[t], dzr_pre[t, :, H:], out=da[t, :, H : 2 * H])
+            np.multiply(dcand, dz_pre[t], out=da[t, :, :H])
+            np.multiply(drh, dr_pre[t], out=da[t, :, H : 2 * H])
             dh_prev = dcand * z[t] + drh * r[t]
             if not full[t]:
                 dh_prev += (1.0 - m[t]) * dh

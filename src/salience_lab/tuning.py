@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .features import DatasetSplit, carve_validation
-from .models import ArchConfig, MelchiorModel, ModelError, TrainConfig, _epoch_loss
-from .models import make_batches, train as train_model
+from .models import ArchConfig, MelchiorModel, ModelError, TrainConfig
+from .models import train as train_model
 
 
 #: Share of the training users carved out as the validation subset.
@@ -166,8 +166,10 @@ def default_objective(split: DatasetSplit, batch_size: int = 32):
             patience=max(2, epochs),
             seed=trial_seed,
         )
-        train_model(model, split, cfg, train_traces=fit_traces, val_traces=val_traces)
-        return _epoch_loss(model, make_batches(val_traces, batch_size), cfg.loss_weights)
+        history = train_model(model, split, cfg, train_traces=fit_traces, val_traces=val_traces)
+        # The loss train scored the restored weights with.  No row is marked only
+        # when every validation loss was nan, and such a trial counts as diverged.
+        return next((row["val"] for row in history if row.get("best")), math.inf)
 
     return objective
 

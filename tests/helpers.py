@@ -1,4 +1,5 @@
-"""Trace builders, a deadline and the acceptance verdict log shared by the test modules.
+"""Trace builders, a deadline, a relative error and the acceptance verdict log shared by
+the test modules.
 
 Test modules import these by name; conftest.py keeps only pytest hooks and
 fixtures, so two conftest.py files on the import path never shadow each other.
@@ -95,3 +96,8 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def max_rel(actual, expected) -> float:
+    """Largest absolute difference relative to the largest reference magnitude."""
+    return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))

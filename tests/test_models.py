@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import max_rel
 from salience_lab import models
 from salience_lab.features import build_dataset, split_users
 from salience_lab.models import (
@@ -29,7 +30,8 @@ from salience_lab.models import (
     save_model,
     train,
 )
-from salience_lab.neural import BCE_CLIP, SMAPE_EPS, clip_gradients, grad_check, sigmoid
+from salience_lab.neural import (BCE_CLIP, SMAPE_EPS, Dense, clip_gradients, grad_check,
+                                 sigmoid)
 from salience_lab.telemetry import GameSpec, simulate_population
 
 SMALL_ARCH = ArchConfig(hidden_width=16, d_z=8, layers=1, emb_dim=4)
@@ -366,6 +368,45 @@ def test_loss_weight_zero_kills_head_gradients(dataset):
     assert np.any(grads["head_ch.W"] != 0.0)
 
 
+# The four heads as they were before they became one layer: one Dense(width, 1) each,
+# built from the fused layer's rows.
+@pytest.mark.parametrize("weights", [(0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.3, 0.0)])
+@pytest.mark.parametrize("arch", [SMALL_ARCH, ArchConfig()], ids=["small", "default"])
+@pytest.mark.parametrize("kind", ["td_mlp", "melchior"])
+def test_fused_heads_equal_per_row_dense_heads(dataset, kind, arch, weights):
+    model = build_model(kind, dataset.vocabs, arch, seed=4)
+    width = arch.d_z if kind == "melchior" else arch.hidden_width
+    params = model.params()
+    reference = {}
+    for name, (activation, _, _) in models.HEADS.items():
+        head = Dense(width, 1, activation, name=f"head_{name}")
+        head.W[...] = params[f"head_{name}.W"]
+        head.b[...] = params[f"head_{name}.b"]
+        reference[name] = head
+    batch = make_batches(dataset.train, 8)[3]
+    x = np.random.default_rng(5).normal(size=(*batch.mask.shape, width))
+    outputs = dict(zip(models.HEADS, model.heads.forward(x)))
+    _, _, douts = masked_loss(outputs, batch, weights)
+    model.zero_grads()
+    dx = model.heads.backward([douts[name] for name in models.HEADS])
+    dx_ref = np.zeros_like(x)
+    for name, head in reference.items():
+        out_ref = head.forward(x)[..., 0]
+        assert outputs[name].shape == out_ref.shape
+        assert max_rel(outputs[name], out_ref) < 1e-12, name
+        dx_ref += head.backward(douts[name][..., None])
+    assert max_rel(dx, dx_ref) < 1e-12
+    grads = model.grads()
+    for name, head in reference.items():
+        for a, ref in (("W", head.gW), ("b", head.gb)):
+            g = grads[f"head_{name}.{a}"]
+            assert g.shape == ref.shape
+            if name == "ab" and weights[3] == 0.0:
+                assert np.all(g == 0.0)
+            else:
+                assert max_rel(g, ref) < 1e-12, (name, a)
+
+
 @pytest.mark.parametrize("kind", ["td_mlp", "melchior"])
 def test_params_and_grads_are_views_that_tile_theta_and_grad(dataset, kind):
     model = build_model(kind, dataset.vocabs, SMALL_ARCH, seed=3)
@@ -476,7 +517,7 @@ def _reference_train(model, split, config):
     v = {k: np.zeros_like(p) for k, p in params.items()}
     step = 0
     history = []
-    best_val = math.inf
+    best_val, best_row = math.inf, None
     best = {k: p.copy() for k, p in params.items()}
     stale = 0
     for epoch in range(config.epochs):
@@ -504,7 +545,7 @@ def _reference_train(model, split, config):
         val = models._epoch_loss(model, val_batches, config.loss_weights)
         history.append({"epoch": epoch, "train": running / running_n, "val": val})
         if val < best_val - 1e-12:
-            best_val = val
+            best_val, best_row = val, history[-1]
             best = {k: p.copy() for k, p in params.items()}
             stale = 0
         else:
@@ -512,6 +553,7 @@ def _reference_train(model, split, config):
             if stale >= config.patience:
                 break
     model.set_params(best)
+    best_row["best"] = True
     return history
 
 

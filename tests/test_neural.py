@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import max_rel
 from salience_lab.neural import (
     AdamState,
     Dense,
@@ -266,10 +267,6 @@ def _reference_gru(params, name, x, mask, h0, dout):
     return out, dx, {f"{name}.{k}": v for k, v in g.items()}
 
 
-def _max_rel(actual, expected):
-    return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
-
-
 @pytest.mark.parametrize("T", [1, 2, 9])
 @pytest.mark.parametrize("in_dim,hidden", [(3, 4), (64, 32), (16, 64)])
 def test_gru_matches_per_step_reference(in_dim, hidden, T):
@@ -287,12 +284,42 @@ def test_gru_matches_per_step_reference(in_dim, hidden, T):
     out_ref, dx_ref, g_ref = _reference_gru(gru.params, "g", x, mask, h0, dout)
     out = gru.forward(x, mask=mask, h0=h0)
     dx = gru.backward(dout)
-    assert _max_rel(out, out_ref) < 1e-12
-    assert _max_rel(dx, dx_ref) < 1e-12
+    assert max_rel(out, out_ref) < 1e-12
+    assert max_rel(dx, dx_ref) < 1e-12
     assert list(gru.grads) == list(g_ref)
     for k in g_ref:
         assert gru.grads[k].shape == g_ref[k].shape
-        assert _max_rel(gru.grads[k], g_ref[k]) < 1e-12, k
+        assert max_rel(gru.grads[k], g_ref[k]) < 1e-12, k
+
+
+def test_gru_saturated_gates_match_per_step_reference():
+    rng = np.random.default_rng(17)
+    B, T, in_dim, hidden = 4, 6, 8, 5
+    gru = GruLayer(in_dim, hidden, rng, "g")
+    for v in gru.params.values():
+        v += rng.normal(scale=0.3, size=v.shape)
+        v *= 400.0
+    x = rng.normal(size=(B, T, in_dim))
+    mask = np.ones((B, T))
+    mask[1, 2:] = 0.0
+    h0 = rng.uniform(-1.0, 1.0, size=(B, hidden))
+    dout = rng.normal(size=(B, T, hidden))
+    pre = x @ gru.W.T + gru.b
+    assert np.max(np.abs(pre)) > 1e3  # pre-activations reach past ±1e3
+    out_ref, dx_ref, g_ref = _reference_gru(gru.params, "g", x, mask, h0, dout)
+    out = gru.forward(x, mask=mask, h0=h0)
+    gates = gru._cache[4]  # z and r of every step
+    assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= 1.0)
+    assert np.all((gates >= 0.0) & (gates <= 1.0))
+    dx = gru.backward(dout)
+    assert max_rel(out, out_ref) < 1e-12
+    assert max_rel(dx, dx_ref) < 1e-12
+    # Measured against the largest gradient of all nine arrays, not each array's own:
+    # below a ≈ -37 a gate 0.5 + 0.5 tanh(a / 2) is exactly 0 where sigmoid keeps
+    # e^a, so an array fed only by such gates is 0 instead of about 1e-150.
+    scale = max(float(np.max(np.abs(g))) for g in g_ref.values())
+    for k in g_ref:
+        assert np.max(np.abs(gru.grads[k] - g_ref[k])) < 1e-12 * scale, k
 
 
 def test_gru_initial_weights_follow_gate_draw_order():

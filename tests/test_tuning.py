@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from helpers import deadline
-from salience_lab import tuning
-from salience_lab.features import carve_validation
-from salience_lab.models import ModelError
+from salience_lab import models, tuning
+from salience_lab.features import build_dataset, carve_validation
+from salience_lab.models import ModelError, TrainConfig, make_batches
 from salience_lab.tuning import (
     VAL_FRACTION,
     BracketSchedule,
@@ -23,6 +23,28 @@ from salience_lab.tuning import (
     hyperband_run,
     make_schedule,
 )
+
+
+def test_default_objective_returns_the_restored_weights_validation_loss(small_population,
+                                                                       monkeypatch):
+    split = build_dataset(small_population, ratio=0.8, seed=7)
+    fit, val = carve_validation(split.train, VAL_FRACTION, 0)
+    trained = []
+
+    def recording_train(model, *args, **kwargs):
+        history = models.train(model, *args, **kwargs)
+        trained.append((model, history))
+        return history
+
+    monkeypatch.setattr(tuning, "train_model", recording_train)
+    objective = tuning.default_objective(split, batch_size=8)
+    config = {"hidden_width": 16, "d_z": 8, "layers": 1, "lr": 0.1, "emb_dim": 4}
+    loss = objective(config, 5, 3, fit, val)
+    [(model, history)] = trained
+    # At this rate the last epoch is worse than an earlier one, which train restores.
+    assert [row["epoch"] for row in history if row.get("best")] == [3]
+    assert len(history) == 5
+    assert loss == models._epoch_loss(model, make_batches(val, 8), TrainConfig().loss_weights)
 
 
 def test_schedule_r81_eta3_matches_reference_table():
