@@ -215,11 +215,11 @@ def elbow_select(vectors: np.ndarray, k_range: Sequence[int], seed: int = 0,
                  restarts: int = 3) -> ElbowReport:
     """Full-batch refits per k; stop where the marginal gain collapses.
 
-    The chosen k is the smallest whose inertia reduction to the next k falls
-    below 10% of the first reduction in the range; the report keeps the
-    lowest-inertia fit at that k.  Warm-starting each k from the previous
-    solution plus the worst-served point keeps the inertia curve
-    non-increasing.
+    The chosen k is the smallest whose inertia reduction to the next k is at
+    most 10% of the inertia at the first k of the range (the last k when none
+    is); the report keeps the lowest-inertia fit at that k.  Warm-starting
+    each k from the previous solution plus the worst-served point keeps the
+    inertia curve non-increasing.
     """
     ks = list(k_range)
     if not ks:
@@ -254,7 +254,7 @@ def elbow_select(vectors: np.ndarray, k_range: Sequence[int], seed: int = 0,
     gains = [a - b for a, b in zip(inertias, inertias[1:])]
     chosen = len(ks) - 1
     for i, gain in enumerate(gains):
-        if gain < 0.1 * gains[0]:
+        if gain <= 0.1 * inertias[0]:
             chosen = i
             break
     return ElbowReport(k_values=ks, inertias=inertias, marginal_gains=gains,
@@ -381,20 +381,16 @@ def profile_partitions(
         members.sort(key=lambda t: t.user_id)
         entry: dict = {"count": len(members)}
         t_max = min(max_session_index, max(m.length for m in members))
+        unscaled = [
+            np.stack([invert_scaler(scaler, name, m.behaviour[:t_max, j])
+                      for j, name in enumerate(BEHAVIOUR_FIELDS)], axis=1)
+            for m in members
+        ]
         curves: dict[str, list] = {}
         for j, name in enumerate(BEHAVIOUR_FIELDS):
             rows = []
             for t in range(t_max):
-                values = np.asarray(
-                    [
-                        invert_scaler(scaler, name, m.behaviour[t, j : j + 1])[0]
-                        for m in members
-                        if m.length > t
-                    ]
-                )
-                if values.size == 0:
-                    rows.append({"session": t + 1, "mean": None, "ci": None, "n": 0})
-                    continue
+                values = np.asarray([u[t, j] for u in unscaled if len(u) > t])
                 mean = float(values.mean())
                 if values.size > 1:
                     half = 1.96 * float(values.std(ddof=1)) / math.sqrt(values.size)

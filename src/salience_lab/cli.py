@@ -13,6 +13,8 @@ import dataclasses
 import inspect
 import json
 import sys
+import types
+import typing
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -54,15 +56,50 @@ def _section(config: dict, path: str) -> dict:
     return node
 
 
+def _typed(value, kind, path: str):
+    """value checked against the annotation kind and converted to it.
+
+    An int takes a whole number and a float any number (neither a bool), a str
+    a string, an Optional None or its type, a tuple[...] a list checked element
+    by element (and by length unless it ends in ...), and a dataclass its own
+    section.  Under any other annotation a list becomes a tuple.
+    """
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) in (typing.Union, types.UnionType) and type(None) in args:
+        if value is None:
+            return None
+        (kind,) = [arg for arg in args if arg is not type(None)]
+        return _typed(value, kind, path)
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise CliError(f"config field '{path}' must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise CliError(f"config field '{path}' must list {len(args)} values, "
+                           f"got {value!r}")
+        return tuple(_typed(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, args)))
+    if kind in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or kind(value) != value:
+            raise CliError(f"config field '{path}' must be {kind.__name__}, got {value!r}")
+        return kind(value)
+    if kind is str:
+        if not isinstance(value, str):
+            raise CliError(f"config field '{path}' must be str, got {value!r}")
+        return value
+    if dataclasses.is_dataclass(kind):
+        return kind(**_settings(kind, value, path))
+    return tuple(value) if isinstance(value, list) else value
+
+
 def _settings(factory, section: dict, path: str, reserved: Sequence[str] = ()) -> dict:
     """The keyword arguments of factory that the config section at path holds.
 
     Each key must name a parameter of factory outside `reserved` (the ones
     the CLI passes itself or that no run sets), and a parameter without a
-    default must be present; every other default is factory's own.  Lists
-    become tuples, an int parameter takes a whole number and a float one any
-    number, and a parameter whose type is a dataclass is built from its own
-    section.
+    default must be present; every other default is factory's own.  Each
+    value is read by its parameter's annotation (see _typed).
     """
     if not isinstance(section, dict):
         raise CliError(f"config field '{path}' must be an object")
@@ -73,21 +110,8 @@ def _settings(factory, section: dict, path: str, reserved: Sequence[str] = ()) -
                if p.default is p.empty and n not in section]
     if missing:
         raise CliError(f"config is missing required field(s) {', '.join(missing)}")
-    kwargs = {}
-    for key, value in section.items():
-        kind = params[key].annotation
-        if kind in (int, float):
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or kind(value) != value:
-                raise CliError(f"config field '{path}.{key}' must be {kind.__name__}, "
-                               f"got {value!r}")
-            value = kind(value)
-        elif dataclasses.is_dataclass(kind):
-            value = kind(**_settings(kind, value, f"{path}.{key}"))
-        elif isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    return kwargs
+    return {key: _typed(value, params[key].annotation, f"{path}.{key}")
+            for key, value in section.items()}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,10 +135,6 @@ class AnalysisConfig:
         if self.scope not in ("test", "all"):
             raise CliError(f"config field 'analysis.scope' must be 'test' or 'all', "
                            f"got {self.scope!r}")
-        if not (isinstance(self.k_range, tuple) and len(self.k_range) == 2
-                and all(isinstance(k, int) for k in self.k_range)):
-            raise CliError(f"config field 'analysis.k_range' must be [lo, hi] of ints, "
-                           f"got {self.k_range!r}")
 
 
 def _simulation(config: dict) -> dict:
@@ -456,7 +476,7 @@ def cmd_report(config: dict, out: Path) -> None:
         for cid, entry in sorted(profile.items()):
             rows = entry["curves"][metric]
             curves[f"cluster {cid} (n={entry['count']})"] = [
-                (r["session"], r["mean"], r["ci"]) for r in rows if r["mean"] is not None
+                (r["session"], r["mean"], r["ci"]) for r in rows
             ]
         svg.curve_plot(curves, f"{metric} by session index", "session index").save(
             report_dir / f"profile_{metric}.svg"

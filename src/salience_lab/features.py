@@ -29,8 +29,8 @@ BEHAVIOUR_FIELDS = (
     "activity_diversity",
 )
 ENV_FIELDS = ("hour", "weekday", "yearday", "region")
-#: The four targets in model order: name -> the FeaturizedTrace (and
-#: TargetVector) field that holds it.  Churn is a probability and stays
+#: The four targets in model order: name -> the FeaturizedTrace field (and
+#: compute_targets key) that holds it.  Churn is a probability and stays
 #: unscaled; the other three are min-max scaled under their names.
 TARGETS = {"ch": "churn", "st": "survival_time", "ss": "survival_sessions", "ab": "absence"}
 
@@ -79,52 +79,32 @@ def churn_probability(completed: bool, inactive_for: float, threshold: float) ->
     return 0.5
 
 
-@dataclass(frozen=True)
-class TargetVector:
-    churn: float
-    survival_time: float
-    survival_sessions: int
-    absence: float
-    absence_masked: bool
-
-
 def compute_targets(
     trace: PlayerTrace, threshold: float, observation_end: float
-) -> list[TargetVector]:
-    """Per-session targets: remaining play time/sessions, next-session gap, churn.
+) -> dict[str, np.ndarray]:
+    """Per-session targets, unscaled, under their FeaturizedTrace field names, plus ab_mask.
 
     Remaining play time at session t is the suffix sum of play_time after t,
     so it is exactly zero at the final session.  The absence gap of the final
-    session is unobservable and flagged masked.
+    session is unobservable: it is 0 there, and ab_mask is 0.0 there and 1.0
+    elsewhere.
     """
     n = trace.total_sessions
-    play = [s.play_time for s in trace.sessions]
-    suffix = [0.0] * n
-    for i in range(n - 2, -1, -1):
-        suffix[i] = suffix[i + 1] + play[i + 1]
+    play = np.asarray([s.play_time for s in trace.sessions], dtype=np.float64)
+    absence = np.asarray([s.delta_session for s in trace.sessions[1:]] + [0.0])
+    ab_mask = np.ones(n)
+    ab_mask[-1] = 0.0
 
     last = trace.sessions[-1]
     inactive_for = max(0.0, observation_end - (last.start_utc + last.session_time))
-    ch = churn_probability(trace.completed, inactive_for, threshold)
-
-    targets = []
-    for t in range(n):
-        if t + 1 < n:
-            absence = trace.sessions[t + 1].delta_session
-            masked = False
-        else:
-            absence = 0.0
-            masked = True
-        targets.append(
-            TargetVector(
-                churn=ch,
-                survival_time=suffix[t],
-                survival_sessions=n - (t + 1),
-                absence=absence,
-                absence_masked=masked,
-            )
-        )
-    return targets
+    return {
+        "churn": np.full(n, churn_probability(trace.completed, inactive_for, threshold)),
+        # added from the last session backwards, one session at a time
+        "survival_time": np.append(np.cumsum(play[:0:-1])[::-1], 0.0),
+        "survival_sessions": np.arange(n - 1, -1, -1, dtype=np.float64),
+        "absence": absence,
+        "ab_mask": ab_mask,
+    }
 
 
 @dataclass(frozen=True)
@@ -366,26 +346,29 @@ def build_dataset(
         game=build_vocab(t.game_id for t in train_raw),
     )
 
-    train_targets = [
-        compute_targets(t, thresholds[t.game_id], observation_end) for t in train_raw
-    ]
-    behaviour_train = np.concatenate([_behaviour_matrix(t) for t in train_raw], axis=0)
+    def raw_arrays(trace: PlayerTrace) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        return (_behaviour_matrix(trace),
+                compute_targets(trace, thresholds[trace.game_id], observation_end))
+
+    train_arrays = [raw_arrays(t) for t in train_raw]
+    behaviour_train = np.concatenate([raw for raw, _ in train_arrays], axis=0)
     columns = {name: behaviour_train[:, j] for j, name in enumerate(BEHAVIOUR_FIELDS)}
     for name, field in TARGETS.items():
         if name != "ch":  # churn stays unscaled; absence is fitted where it is observed
-            columns[name] = np.asarray(
-                [getattr(tv, field) for tvs in train_targets for tv in tvs
-                 if not (name == "ab" and tv.absence_masked)] or [0.0],
-                dtype=np.float64,
-            )
+            values = np.concatenate([
+                targets[field][targets["ab_mask"] > 0] if name == "ab" else targets[field]
+                for _, targets in train_arrays
+            ])
+            columns[name] = values if values.size else np.zeros(1)
     scaler = fit_scaler(columns)
+    del behaviour_train, columns  # not kept while the featurized traces are built
 
-    def featurize(trace: PlayerTrace, targets: list[TargetVector]) -> FeaturizedTrace:
-        raw = _behaviour_matrix(trace)
-        behaviour = np.stack(
-            [apply_scaler(scaler, name, raw[:, j]) for j, name in enumerate(BEHAVIOUR_FIELDS)],
-            axis=1,
-        )
+    def featurize(trace: PlayerTrace, behaviour: np.ndarray,
+                  targets: dict[str, np.ndarray]) -> FeaturizedTrace:
+        # behaviour is scaled in place and each target replaced in its dict, so no trace
+        # keeps its unscaled arrays beside the scaled ones
+        for j, name in enumerate(BEHAVIOUR_FIELDS):
+            behaviour[:, j] = apply_scaler(scaler, name, behaviour[:, j])
         env_idx = np.asarray(
             [
                 (
@@ -398,29 +381,21 @@ def build_dataset(
             ],
             dtype=np.int64,
         )
-        arrays = {}
         for name, field in TARGETS.items():
-            values = np.asarray([getattr(tv, field) for tv in targets], dtype=np.float64)
-            arrays[field] = values if name == "ch" else apply_scaler(scaler, name, values)
-        ab_mask = np.asarray(
-            [0.0 if tv.absence_masked else 1.0 for tv in targets], dtype=np.float64
-        )
-        arrays["absence"] *= ab_mask  # masked entries carry no information
+            if name != "ch":  # churn is a probability and stays unscaled
+                targets[field] = apply_scaler(scaler, name, targets[field])
+        targets["absence"] *= targets["ab_mask"]  # masked entries carry no information
         return FeaturizedTrace(
             user_id=trace.user_id,
             game_id=trace.game_id,
             game_idx=vocabs.game.encode(trace.game_id),
             behaviour=behaviour,
             env_idx=env_idx,
-            ab_mask=ab_mask,
-            **arrays,
+            **targets,
         )
 
-    train = [featurize(t, tvs) for t, tvs in zip(train_raw, train_targets)]
-    test = [
-        featurize(t, compute_targets(t, thresholds[t.game_id], observation_end))
-        for t in test_raw
-    ]
+    train = [featurize(t, *arrays) for t, arrays in zip(train_raw, train_arrays)]
+    test = [featurize(t, *raw_arrays(t)) for t in test_raw]
     return DatasetSplit(
         train=train,
         test=test,

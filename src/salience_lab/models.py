@@ -15,7 +15,6 @@ loop (for the gradient models), and the evaluation report.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -655,11 +654,6 @@ class EvalReport:
 
     overall: dict[str, float]
     cells: list[dict]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"overall": self.overall, "cells": self.cells}, sort_keys=True, indent=2
-        ) + "\n"
 
     def cell_rows(self) -> list[tuple]:
         return [

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from datetime import datetime, timedelta
+import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -33,8 +33,6 @@ CSV_COLUMNS = (
     "activity_diversity",
     "region",
 )
-
-_EPOCH = datetime(1970, 1, 1)
 
 
 class TelemetryError(ValueError):
@@ -153,13 +151,9 @@ def env_stamp(start_utc: int, region: str) -> EnvStamp:
     """Calendar stamp for an epoch-minute timestamp (UTC civil calendar)."""
     if start_utc < 0:
         raise TelemetryError(f"start_utc must be >= 0, got {start_utc}")
-    moment = _EPOCH + timedelta(minutes=int(start_utc))
-    return EnvStamp(
-        hour_of_day=moment.hour,
-        day_of_week=moment.weekday(),
-        day_of_year=moment.timetuple().tm_yday,
-        region=region,
-    )
+    moment = time.gmtime(60 * start_utc)
+    return EnvStamp(hour_of_day=moment.tm_hour, day_of_week=moment.tm_wday,
+                    day_of_year=moment.tm_yday, region=region)
 
 
 def _sigmoid(x: float) -> float:
@@ -431,19 +425,7 @@ def ingest_csv(path: str | Path) -> list[PlayerTrace]:
             delta = 0.0 if prev_end is None else float(r.start_utc - prev_end)
             if delta < 0:
                 raise TelemetryError(f"user {user_id}: overlapping sessions")
-            rebuilt.append(
-                SessionRecord(
-                    user_id=r.user_id,
-                    game_id=r.game_id,
-                    start_utc=r.start_utc,
-                    session_time=r.session_time,
-                    play_time=r.play_time,
-                    delta_session=delta,
-                    activity_index=r.activity_index,
-                    activity_diversity=r.activity_diversity,
-                    env=r.env,
-                )
-            )
+            rebuilt.append(replace(r, delta_session=delta))
             prev_end = r.start_utc + r.session_time
         trace = PlayerTrace(
             user_id=user_id,

@@ -301,12 +301,12 @@ def test_criterion_3_target_math_oracle():
             ch_ref = 1.0
         else:
             ch_ref = 0.5
-        for t, tv in enumerate(targets, start=1):
+        for t in range(1, trace.total_sessions + 1):
             played = sum(s.play_time for s in trace.sessions[:t])
-            worst_st = max(worst_st, abs(tv.survival_time - (total - played)))
-            if tv.survival_sessions != trace.total_sessions - t:
+            worst_st = max(worst_st, abs(targets["survival_time"][t - 1] - (total - played)))
+            if targets["survival_sessions"][t - 1] != trace.total_sessions - t:
                 churn_mismatches += 1
-            if tv.churn != ch_ref:
+            if targets["churn"][t - 1] != ch_ref:
                 churn_mismatches += 1
     ok = churn_mismatches == 0 and worst_st < 1e-9 and worst_thr < 1e-9
     verdict(

@@ -157,6 +157,16 @@ def test_elbow_four_planted_blobs():
     assert all(a >= b - 1e-9 for a, b in zip(report.inertias, report.inertias[1:]))
 
 
+def test_elbow_can_choose_the_lowest_k():
+    # Splitting a tight 8-D blob gains little against the two-blob inertia, so k = 2
+    # is chosen; a rule relative to the first gain would run on to k = 5.
+    rng = np.random.default_rng(15)
+    X, _ = _blobs(rng, [(0.0,) * 8, (10.0,) * 8], 60, scale=0.5)
+    report = elbow_select(X, range(2, 6), seed=0)
+    assert report.marginal_gains[0] <= 0.1 * report.inertias[0]
+    assert report.chosen_k == 2
+
+
 def test_elbow_single_k():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(30, 2))

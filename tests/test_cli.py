@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
@@ -95,6 +96,23 @@ def test_rerun_is_idempotent(pipeline_dir):
     before = (pipeline_dir / "eval" / "losses.csv").read_bytes()
     assert main(["--config", SMOKE, "--out", str(pipeline_dir), "evaluate"]) == 0
     assert (pipeline_dir / "eval" / "losses.csv").read_bytes() == before
+
+
+#: sha256 of what `simulate` and `featurize` write on smoke.json at seed 0.
+_PINNED_FEATURIZATION = {
+    "telemetry.csv": "f1af223f2d4fcaaa16570bd53c4827b35fe2f8f449753e8019864e3aa27e5a05",
+    "features/train.csv": "fbcf261cce51f57e2fe9e1624304f8a67dcd30d5f7ca4332c148a48c37c9ed14",
+    "features/test.csv": "d2ee7675acb53a2ba20a36c59680834e4c79a6b104cf06458c3c14a5bb0697e0",
+    "features/manifest.json": "d1c0bd227ca897c3c0059054b907d546287be2c2dc80c2efc3b21fd99485710b",
+}
+
+
+def test_featurized_split_is_pinned(tmp_path):
+    for command in ("simulate", "featurize"):
+        assert main(["--config", SMOKE, "--out", str(tmp_path), command]) == 0
+    digests = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
+               for rel in _PINNED_FEATURIZATION}
+    assert digests == _PINNED_FEATURIZATION
 
 
 def test_unsupported_checkpoint_version_exits_2_with_an_error(pipeline_dir, tmp_path, capsys):
@@ -228,6 +246,35 @@ def test_unread_config_field_fails_naming_it(tmp_path, capsys, field):
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["--config", str(path), "--out", str(tmp_path), "simulate"]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "telemetry.csv").exists()
+
+
+#: Values of the wrong type inside list-valued and optional fields, each with its place
+#: in the smoke config; the last has the wrong length.
+MISTYPED_FIELDS = {
+    "tune.space.lr": (("tune", "space", "lr"), ["a", 0.01]),
+    "simulate.population.salience_range": (("simulate", "population", "salience_range"),
+                                           ["x", 0.9]),
+    "models.melchior.loss_weights": (("models", "melchior", "loss_weights"), [1, "b", 0, 0]),
+    "featurize.observation_end": (("featurize", "observation_end"), "abc"),
+    "simulate.games[0].completion_sessions": (("simulate", "games", 0, "completion_sessions"),
+                                              "x"),
+    "analysis.k_range": (("analysis", "k_range"), [2, 3, 4]),
+}
+
+
+@pytest.mark.parametrize("field", MISTYPED_FIELDS)
+def test_mistyped_config_value_fails_naming_it(tmp_path, capsys, field):
+    config = bundled_config("smoke")
+    (*parents, key), value = MISTYPED_FIELDS[field]
+    node = config
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["--config", str(path), "--out", str(tmp_path), "simulate"]) == 2
+    assert f"'{field}" in capsys.readouterr().err
     assert not (tmp_path / "telemetry.csv").exists()
 
 

@@ -78,9 +78,9 @@ def test_churn_uncertain_is_half():
 def test_targets_remaining_play_time():
     trace = make_trace("u", "g", [0, 100, 300], [10.0, 20.0, 5.0], [10.0, 15.0, 35.0])
     targets = compute_targets(trace, threshold=1e9, observation_end=1e6)
-    assert targets[0].survival_time == pytest.approx(50.0)  # 60 total - 10 played
-    assert targets[1].survival_time == pytest.approx(35.0)
-    assert targets[2].survival_time == 0.0
+    assert targets["survival_time"][0] == pytest.approx(50.0)  # 60 total - 10 played
+    assert targets["survival_time"][1] == pytest.approx(35.0)
+    assert targets["survival_time"][2] == 0.0
 
 
 def test_targets_final_session_is_zero():
@@ -88,24 +88,25 @@ def test_targets_final_session_is_zero():
     for i in range(50):
         trace = random_trace(rng, f"u{i}")
         targets = compute_targets(trace, 100.0, 10**8)
-        assert targets[-1].survival_time == 0.0
-        assert targets[-1].survival_sessions == 0
-        assert targets[-1].absence_masked
+        assert targets["survival_time"][-1] == 0.0
+        assert targets["survival_sessions"][-1] == 0
+        assert targets["ab_mask"][-1] == 0.0
 
 
 def test_targets_session_countdown():
     trace = make_trace("u", "g", [0, 100, 300, 500, 900], [10.0] * 5)
     targets = compute_targets(trace, 1e9, 1e6)
-    assert targets[1].survival_sessions == 3  # Ps = 5, t = 2
-    assert [tv.survival_sessions for tv in targets] == [4, 3, 2, 1, 0]
+    assert targets["survival_sessions"][1] == 3  # Ps = 5, t = 2
+    assert targets["survival_sessions"].tolist() == [4, 3, 2, 1, 0]
 
 
 def test_targets_absence_is_next_gap():
     trace = make_trace("u", "g", [0, 100, 300], [10.0, 20.0, 5.0])
     targets = compute_targets(trace, 1e9, 1e6)
-    assert targets[0].absence == pytest.approx(90.0)  # 100 - (0 + 10)
-    assert targets[1].absence == pytest.approx(180.0)  # 300 - (100 + 20)
-    assert targets[2].absence == 0.0 and targets[2].absence_masked
+    assert targets["absence"][0] == pytest.approx(90.0)  # 100 - (0 + 10)
+    assert targets["absence"][1] == pytest.approx(180.0)  # 300 - (100 + 20)
+    assert targets["absence"][2] == 0.0 and targets["ab_mask"][2] == 0.0
+    assert targets["ab_mask"][:2].tolist() == [1.0, 1.0]
 
 
 def test_targets_brute_force_oracle():
@@ -130,11 +131,11 @@ def test_targets_brute_force_oracle():
             expected_ch = 1.0
         else:
             expected_ch = 0.5
-        for t, tv in enumerate(targets, start=1):
+        for t in range(1, trace.total_sessions + 1):
             played = sum(s.play_time for s in trace.sessions[:t])
-            assert tv.survival_time == pytest.approx(total - played, abs=1e-9)
-            assert tv.survival_sessions == trace.total_sessions - t
-            assert tv.churn == expected_ch
+            assert targets["survival_time"][t - 1] == pytest.approx(total - played, abs=1e-9)
+            assert targets["survival_sessions"][t - 1] == trace.total_sessions - t
+            assert targets["churn"][t - 1] == expected_ch
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -142,13 +143,13 @@ def test_targets_brute_force_oracle():
 def test_targets_monotone_property(seed):
     trace = random_trace(np.random.default_rng(seed), "u")
     targets = compute_targets(trace, 100.0, 10**8)
-    st_series = [tv.survival_time for tv in targets]
-    ss_series = [tv.survival_sessions for tv in targets]
+    st_series = targets["survival_time"].tolist()
+    ss_series = targets["survival_sessions"].tolist()
     assert all(a >= b for a, b in zip(st_series, st_series[1:]))
     assert all(a >= b for a, b in zip(ss_series, ss_series[1:]))
     assert st_series[-1] == 0.0 and ss_series[-1] == 0
-    assert len({tv.churn for tv in targets}) == 1
-    assert targets[0].churn in (0.0, 0.5, 1.0)
+    assert len(set(targets["churn"].tolist())) == 1
+    assert targets["churn"][0] in (0.0, 0.5, 1.0)
 
 
 # -- scaler ------------------------------------------------------------------
