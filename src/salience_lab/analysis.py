@@ -366,8 +366,8 @@ def profile_partitions(
 ) -> PartitionProfile:
     """Mean +/- 95% CI of unscaled inputs per session index, per cluster.
 
-    Target distributions are quartiles over each member's target_medians; a
-    member with no observed absence adds nothing to `ab`.
+    Target distributions are quartiles over the members' target_medians; a
+    member with no observed absence (nan) adds nothing to `ab`.
     """
     by_user = {t.user_id: t for t in traces}
     missing = [u for u in assignments if u not in by_user]
@@ -402,13 +402,9 @@ def profile_partitions(
             curves[name] = rows
 
         target_summaries = {}
-        per_user: dict[str, list[float]] = {name: [] for name in TARGETS}
-        for m in members:
-            for name, median in target_medians(m, scaler).items():
-                if median is not None:
-                    per_user[name].append(median)
-        for name, values in per_user.items():
-            if not values:
+        for name, medians in zip(TARGETS, target_medians(members, scaler).T):
+            values = medians[~np.isnan(medians)]
+            if not values.size:
                 target_summaries[name] = None
                 continue
             q1, q2, q3 = np.quantile(values, [0.25, 0.5, 0.75])
@@ -418,9 +414,3 @@ def profile_partitions(
         entry["targets"] = target_summaries
         clusters[cid] = entry
     return PartitionProfile(clusters=clusters)
-
-
-def final_embeddings(z_per_user: Mapping[str, np.ndarray]) -> tuple[list[str], np.ndarray]:
-    """Stack each user's final-session embedding; users in sorted order."""
-    users = sorted(z_per_user)
-    return users, np.stack([z_per_user[u][-1] for u in users], axis=0)

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 import sys
 import types
 import typing
@@ -19,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import analysis, features, models, neural, svg, telemetry, tuning
+from . import analysis, csvio, features, models, neural, svg, telemetry, tuning
 from .features import TARGETS, DatasetSplit, build_dataset, load_dataset, save_dataset
 from .models import ArchConfig, TrainConfig
 
@@ -59,10 +60,11 @@ def _section(config: dict, path: str) -> dict:
 def _typed(value, kind, path: str):
     """value checked against the annotation kind and converted to it.
 
-    An int takes a whole number and a float any number (neither a bool), a str
-    a string, an Optional None or its type, a tuple[...] a list checked element
-    by element (and by length unless it ends in ...), and a dataclass its own
-    section.  Under any other annotation a list becomes a tuple.
+    An int takes a finite whole number and a float any finite number (neither a
+    bool, nor JSON's Infinity or NaN), a str a string, an Optional None or its
+    type, a tuple[...] a list checked element by element (and by length unless
+    it ends in ...), and a dataclass its own section.  Under any other
+    annotation a list becomes a tuple.
     """
     args = typing.get_args(kind)
     if typing.get_origin(kind) in (typing.Union, types.UnionType) and type(None) in args:
@@ -81,8 +83,9 @@ def _typed(value, kind, path: str):
         return tuple(_typed(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, args)))
     if kind in (int, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or kind(value) != value:
-            raise CliError(f"config field '{path}' must be {kind.__name__}, got {value!r}")
+                or not math.isfinite(value) or kind(value) != value:
+            raise CliError(f"config field '{path}' must be a finite {kind.__name__}, "
+                           f"got {value!r}")
         return kind(value)
     if kind is str:
         if not isinstance(value, str):
@@ -258,10 +261,7 @@ def _load_split(out: Path) -> DatasetSplit:
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    csvio.write_rows(path, header, rows)
 
 
 def _fmt_float(x: float) -> str:
@@ -388,8 +388,7 @@ def _embedding_inputs(config: dict, out: Path):
 
 def cmd_embed(config: dict, out: Path) -> None:
     split, model, traces = _embedding_inputs(config, out)
-    z = models.extract_embedding(model, traces)
-    users, z_final = analysis.final_embeddings(z)
+    users, z_final = models.extract_embedding(model, traces)
     projection = analysis.pca_fit(z_final)
     coords = analysis.pca_transform(projection, z_final)
 
@@ -399,16 +398,15 @@ def cmd_embed(config: dict, out: Path) -> None:
     _write_csv(
         embed_dir / "embeddings.csv",
         ["user_id"] + [f"z{i}" for i in range(d_z)],
-        [[u] + [_fmt_float(v) for v in z_final[i]] for i, u in enumerate(users)],
+        [[u, *map(_fmt_float, row)] for u, row in zip(users, z_final.tolist())],
     )
-    rows = []
-    for i, user in enumerate(users):
-        ft = by_user[user]
-        medians = features.target_medians(ft, split.scaler)
-        rows.append(
-            [user, _fmt_float(coords[i, 0]), _fmt_float(coords[i, 1]), ft.game_id]
-            + [_fmt_float(0.0 if m is None else m) for m in medians.values()]
-        )
+    ordered = [by_user[user] for user in users]
+    medians = features.target_medians(ordered, split.scaler).tolist()
+    rows = [
+        [user, _fmt_float(x), _fmt_float(y), ft.game_id]
+        + [_fmt_float(0.0 if math.isnan(m) else m) for m in row]  # nan: absence never observed
+        for user, ft, (x, y), row in zip(users, ordered, coords[:, :2].tolist(), medians)
+    ]
     _write_csv(
         embed_dir / "embedding_2d.csv",
         ["user_id", "x", "y", "game", "ch", "median_st", "median_ss", "median_ab"],
@@ -419,8 +417,7 @@ def cmd_embed(config: dict, out: Path) -> None:
 
 def cmd_cluster(config: dict, out: Path) -> None:
     split, model, traces = _embedding_inputs(config, out)
-    z = models.extract_embedding(model, traces)
-    users, z_final = analysis.final_embeddings(z)
+    users, z_final = models.extract_embedding(model, traces)
     k_lo, k_hi = _analysis_config(config).k_range
     elbow = analysis.elbow_select(z_final, range(k_lo, k_hi + 1), seed=config["seed"])
     assignments = {u: int(c) for u, c in zip(users, elbow.model.assign(z_final))}

@@ -8,17 +8,17 @@ and the absence gap to the next session.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import csvio
 from .telemetry import PlayerTrace
 
 BEHAVIOUR_FIELDS = (
@@ -34,14 +34,17 @@ ENV_FIELDS = ("hour", "weekday", "yearday", "region")
 #: unscaled; the other three are min-max scaled under their names.
 TARGETS = {"ch": "churn", "st": "survival_time", "ss": "survival_sessions", "ab": "absence"}
 
-_DATASET_COLUMNS = (
-    ("user_id", "game_id", "session_index")
-    + BEHAVIOUR_FIELDS
-    + tuple(f"{name}_idx" for name in ENV_FIELDS)
-    + ("game_idx",)
-    + tuple(TARGETS)
-    + ("ab_mask",)
-)
+#: The featurized split CSV: each column, in file order, with the type it is read as.
+_DATASET_COLUMNS = {
+    "user_id": str,
+    "game_id": str,
+    "session_index": int,
+    **dict.fromkeys(BEHAVIOUR_FIELDS, float),
+    **{f"{name}_idx": int for name in ENV_FIELDS},
+    "game_idx": int,
+    **dict.fromkeys(TARGETS, float),
+    "ab_mask": float,
+}
 
 
 class FeatureError(ValueError):
@@ -255,23 +258,36 @@ class FeaturizedTrace:
         return int(self.behaviour.shape[0])
 
 
-def target_medians(trace: FeaturizedTrace, scaler: ScalerStats) -> dict[str, float | None]:
-    """Median of each target over the trace's steps, in unscaled units.
+def target_medians(traces: Sequence[FeaturizedTrace], scaler: ScalerStats) -> np.ndarray:
+    """Median of each target over each trace's steps, in unscaled units.
 
-    Absence is taken over its observed steps only, and is None when there are none.
+    Row i holds traces[i]'s medians, in TARGETS order.  Absence is taken over its
+    observed steps only, and is nan for a trace with none.  Each median is the
+    middle value, or the two middle values added and halved, as np.median does.
     """
-    medians: dict[str, float | None] = {}
-    for name, field in TARGETS.items():
-        values = getattr(trace, field)
+    table = np.full((len(traces), len(TARGETS)), np.nan)
+    if not traces:
+        return table
+    step_owner = np.repeat(np.arange(len(traces)), [t.length for t in traces])
+    observed = np.concatenate([t.ab_mask for t in traces]) > 0
+    for j, (name, field) in enumerate(TARGETS.items()):
+        values = np.concatenate([getattr(t, field) for t in traces])
+        owner = step_owner
         if name == "ab":
-            values = values[trace.ab_mask > 0]
-            if not values.size:
-                medians[name] = None
-                continue
+            values, owner = values[observed], owner[observed]
         if name != "ch":
             values = invert_scaler(scaler, name, values)
-        medians[name] = float(np.median(values))
-    return medians
+        values = values[np.lexsort((values, owner))]  # owner stays in order; nan sorts last
+        counts = np.bincount(owner, minlength=len(traces))
+        first = np.cumsum(counts) - counts
+        has = counts > 0
+        first, counts = first[has], counts[has]
+        lo = values[first + (counts - 1) // 2]
+        hi = values[first + counts // 2]
+        medians = np.where(counts % 2 == 1, lo, (lo + hi) / 2)
+        medians[np.isnan(values[first + counts - 1])] = np.nan
+        table[has, j] = medians
+    return table
 
 
 @dataclass
@@ -424,59 +440,69 @@ def save_dataset(split: DatasetSplit, directory: str | Path) -> None:
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     for name, traces in (("train", split.train), ("test", split.test)):
-        with (directory / f"{name}.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_DATASET_COLUMNS)
-            for ft in traces:
-                for t in range(ft.length):
-                    writer.writerow(
-                        [ft.user_id, ft.game_id, t + 1]
-                        + [repr(float(v)) for v in ft.behaviour[t]]
-                        + [int(v) for v in ft.env_idx[t]]
-                        + [ft.game_idx]
-                        + [repr(float(getattr(ft, field)[t])) for field in TARGETS.values()]
-                        + [repr(float(ft.ab_mask[t]))]
-                    )
+        rows = (row for chunk in csvio.chunks(traces, lambda ft: ft.length)
+                for row in _split_rows(chunk))
+        csvio.write_rows(directory / f"{name}.csv", _DATASET_COLUMNS, rows)
 
 
-def _traces_from_rows(rows: list[dict]) -> list[FeaturizedTrace]:
-    by_trace: dict[tuple[str, str], list[dict]] = {}
-    for row in rows:
-        by_trace.setdefault((row["user_id"], row["game_id"]), []).append(row)
-    traces = []
-    for (user_id, game_id), chunk in sorted(by_trace.items()):
-        chunk.sort(key=lambda r: int(r["session_index"]))
-        traces.append(
-            FeaturizedTrace(
-                user_id=user_id,
-                game_id=game_id,
-                game_idx=int(chunk[0]["game_idx"]),
-                behaviour=np.asarray(
-                    [[float(r[name]) for name in BEHAVIOUR_FIELDS] for r in chunk]
-                ),
-                env_idx=np.asarray(
-                    [[int(r[f"{name}_idx"]) for name in ENV_FIELDS] for r in chunk],
-                    dtype=np.int64,
-                ),
-                ab_mask=np.asarray([float(r["ab_mask"]) for r in chunk]),
-                **{field: np.asarray([float(r[name]) for r in chunk])
-                   for name, field in TARGETS.items()},
-            )
+def _split_rows(chunk: Sequence[FeaturizedTrace]) -> Iterator[tuple]:
+    """The CSV rows of some traces, built a column at a time."""
+    lengths = [ft.length for ft in chunk]
+
+    def per_step(values: Iterable) -> list:  # each trace's value, once per step
+        return np.repeat(np.array(list(values), dtype=object), lengths).tolist()
+
+    def stacked(field: str) -> list:  # the columns of the traces' arrays, end to end
+        return np.concatenate([getattr(ft, field) for ft in chunk]).T.tolist()
+
+    return zip(
+        per_step(ft.user_id for ft in chunk),
+        per_step(ft.game_id for ft in chunk),
+        [t for n in lengths for t in range(1, n + 1)],
+        *stacked("behaviour"),
+        *stacked("env_idx"),
+        per_step(ft.game_idx for ft in chunk),
+        *(stacked(field) for field in (*TARGETS.values(), "ab_mask")),
+    )
+
+
+def _load_traces(path: Path) -> list[FeaturizedTrace]:
+    """The traces of one split CSV, ordered by (user, game), each a slice of the columns."""
+    columns = csvio.read_columns(path, _DATASET_COLUMNS, FeatureError)
+    users, games = columns["user_id"], columns["game_id"]
+    if not users.size:
+        return []
+    order = np.lexsort((columns["session_index"], games, users))
+    users, games = users[order], games[order]
+    behaviour = np.stack([columns[name][order] for name in BEHAVIOUR_FIELDS], axis=1)
+    env_idx = np.stack([columns[f"{name}_idx"][order] for name in ENV_FIELDS], axis=1)
+    targets = {field: columns[name][order] for name, field in TARGETS.items()}
+    ab_mask = columns["ab_mask"][order]
+    first = np.flatnonzero(np.r_[True, (users[1:] != users[:-1]) | (games[1:] != games[:-1])])
+    bounds = np.append(first, len(order)).tolist()
+    return [
+        FeaturizedTrace(
+            user_id=user,
+            game_id=game,
+            game_idx=game_idx,
+            behaviour=behaviour[a:b],
+            env_idx=env_idx[a:b],
+            ab_mask=ab_mask[a:b],
+            **{field: values[a:b] for field, values in targets.items()},
         )
-    return traces
+        for user, game, game_idx, a, b in zip(
+            users[first].tolist(), games[first].tolist(),
+            columns["game_idx"][order][first].tolist(), bounds, bounds[1:])
+    ]
 
 
 def load_dataset(directory: str | Path) -> DatasetSplit:
     """Load a split written by save_dataset."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
-    parts = {}
-    for name in ("train", "test"):
-        with (directory / f"{name}.csv").open(newline="", encoding="utf-8") as fh:
-            parts[name] = _traces_from_rows(list(csv.DictReader(fh)))
     return DatasetSplit(
-        train=parts["train"],
-        test=parts["test"],
+        train=_load_traces(directory / "train.csv"),
+        test=_load_traces(directory / "test.csv"),
         vocabs=Vocabularies.from_dict(manifest["vocabularies"]),
         scaler=ScalerStats.from_dict(manifest["scaler"]),
         split_seed=int(manifest["split_seed"]),

@@ -726,24 +726,25 @@ def evaluate(model, traces: Sequence[FeaturizedTrace], batch_size: int = 64) -> 
 
 def extract_embedding(
     model: MelchiorModel, traces: Sequence[FeaturizedTrace], batch_size: int = 64
-) -> dict[str, np.ndarray]:
-    """Salience-layer activations per (user, step) from a plain forward pass.
+) -> tuple[list[str], np.ndarray]:
+    """Each user's salience state after their final session, from a plain forward pass.
 
-    The result is keyed by user, so a user with traces in several games is
-    rejected rather than keeping only one of them.
+    Returns the users in sorted order and their (n_users, d_z) states.  The rows
+    are keyed by user, so a user with traces in several games is rejected rather
+    than keeping only one of them.
     """
-    out: dict[str, np.ndarray] = {}
+    users: list[str] = []
+    finals = []
     for batch in make_batches(traces, batch_size):
         model.forward(batch)
-        z = model.hidden_states
-        for i, user in enumerate(batch.user_ids):
-            if user in out:
-                raise ModelError(
-                    f"user {user} has more than one trace; embeddings are keyed by user"
-                )
-            L = int(batch.lengths[i])
-            out[user] = z[i, :L].copy()
-    return out
+        users.extend(batch.user_ids)
+        finals.append(model.hidden_states[np.arange(len(batch.user_ids)), batch.lengths - 1])
+    order = sorted(range(len(users)), key=users.__getitem__)
+    users = [users[i] for i in order]
+    for a, b in zip(users, users[1:]):
+        if a == b:
+            raise ModelError(f"user {a} has more than one trace; embeddings are keyed by user")
+    return users, np.concatenate(finals)[order]
 
 
 # ---------------------------------------------------------------------------

@@ -13,26 +13,32 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import csvio
+
 MINUTES_PER_DAY = 1440
 
-#: Columns of the telemetry CSV interchange format, in order.
-CSV_COLUMNS = (
-    "user_id",
-    "game_id",
-    "start_utc",
-    "session_time",
-    "play_time",
-    "delta_session",
-    "activity_index",
-    "activity_diversity",
-    "region",
-)
+#: Columns of the telemetry CSV interchange format, in order, with the type each is read as.
+_CSV_KINDS = {
+    "user_id": str,
+    "game_id": str,
+    "start_utc": int,
+    "session_time": float,
+    "play_time": float,
+    "delta_session": float,
+    "activity_index": int,
+    "activity_diversity": int,
+    "region": str,
+}
+CSV_COLUMNS = tuple(_CSV_KINDS)
+
+#: The Gregorian calendar repeats every 400 years, 146097 days, a whole number of weeks.
+_MINUTES_PER_400_YEARS = 146097 * MINUTES_PER_DAY
 
 
 class TelemetryError(ValueError):
@@ -151,7 +157,8 @@ def env_stamp(start_utc: int, region: str) -> EnvStamp:
     """Calendar stamp for an epoch-minute timestamp (UTC civil calendar)."""
     if start_utc < 0:
         raise TelemetryError(f"start_utc must be >= 0, got {start_utc}")
-    moment = time.gmtime(60 * start_utc)
+    # reduced to one 400-year cycle, so that any int64 minute has a time_t stamp
+    moment = time.gmtime(60 * (start_utc % _MINUTES_PER_400_YEARS))
     return EnvStamp(hour_of_day=moment.tm_hour, day_of_week=moment.tm_wday,
                     day_of_year=moment.tm_yday, region=region)
 
@@ -309,44 +316,24 @@ def simulate_population(
     ]
 
 
-def _format_minutes(x: float) -> str:
-    return repr(float(x))
-
-
 def write_csv(traces: Iterable[PlayerTrace], path: str | Path) -> None:
     """Write traces to the telemetry CSV format (latent trace excluded)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for trace in traces:
-            for s in trace.sessions:
-                writer.writerow(
-                    [
-                        s.user_id,
-                        s.game_id,
-                        s.start_utc,
-                        _format_minutes(s.session_time),
-                        _format_minutes(s.play_time),
-                        _format_minutes(s.delta_session),
-                        s.activity_index,
-                        s.activity_diversity,
-                        s.env.region,
-                    ]
-                )
+    rows = (  # minutes as floats, so that csv.writer writes their repr
+        (s.user_id, s.game_id, s.start_utc, float(s.session_time), float(s.play_time),
+         float(s.delta_session), s.activity_index, s.activity_diversity, s.env.region)
+        for trace in traces for s in trace.sessions
+    )
+    csvio.write_rows(Path(path), CSV_COLUMNS, rows)
 
 
 def write_latent_csv(traces: Iterable[PlayerTrace], path: str | Path) -> None:
     """Write the optional latent sidecar: user_id,session_index,salience,reward."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "session_index", "salience", "reward"])
-        for trace in traces:
-            if trace.latent_trace is None:
-                continue
-            for i, (salience, reward) in enumerate(trace.latent_trace, start=1):
-                writer.writerow([trace.user_id, i, repr(float(salience)), repr(float(reward))])
+    rows = (
+        (trace.user_id, i, float(salience), float(reward))
+        for trace in traces if trace.latent_trace is not None
+        for i, (salience, reward) in enumerate(trace.latent_trace, start=1)
+    )
+    csvio.write_rows(Path(path), ("user_id", "session_index", "salience", "reward"), rows)
 
 
 def read_latent_csv(path: str | Path) -> dict[str, list[tuple[float, float]]]:
@@ -360,82 +347,66 @@ def read_latent_csv(path: str | Path) -> dict[str, list[tuple[float, float]]]:
     return out
 
 
-def _parse_row(row: dict, line_no: int) -> SessionRecord:
-    try:
-        start_utc = int(row["start_utc"])
-        session_time = float(row["session_time"])
-        play_time = float(row["play_time"])
-        delta = float(row["delta_session"])
-        activity_index = int(row["activity_index"])
-        activity_diversity = int(row["activity_diversity"])
-        user_id = row["user_id"]
-        game_id = row["game_id"]
-        region = row["region"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TelemetryError(f"line {line_no}: malformed row ({exc})") from exc
-    if not user_id or not game_id:
-        raise TelemetryError(f"line {line_no}: empty user_id or game_id")
-    if session_time < 0 or play_time < 0 or delta < 0:
-        raise TelemetryError(f"line {line_no}: negative duration")
-    if play_time > session_time:
-        raise TelemetryError(f"line {line_no}: play_time exceeds session_time")
-    if activity_index < 0 or activity_diversity < 0 or activity_diversity > activity_index:
-        raise TelemetryError(f"line {line_no}: inconsistent activity counts")
-    return SessionRecord(
-        user_id=user_id,
-        game_id=game_id,
-        start_utc=start_utc,
-        session_time=session_time,
-        play_time=play_time,
-        delta_session=delta,
-        activity_index=activity_index,
-        activity_diversity=activity_diversity,
-        env=env_stamp(start_utc, region),
-    )
-
-
 def ingest_csv(path: str | Path) -> list[PlayerTrace]:
     """Ingest telemetry CSV into traces grouped by (user_id, game_id).
 
     Rows are sorted by start_utc within each pair and delta_session is
     recomputed end-to-start from the timestamps.  Traces come back ordered by
-    (user_id, game_id).
+    (user_id, game_id).  An error names the first bad data line, or the first
+    (user, game) pair whose sessions repeat a start or overlap.
     """
     path = Path(path)
-    groups: dict[tuple[str, str], list[SessionRecord]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-            raise TelemetryError(
-                f"{path}: header must be {','.join(CSV_COLUMNS)}, got {reader.fieldnames}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            record = _parse_row(row, line_no)
-            groups.setdefault((record.user_id, record.game_id), []).append(record)
+    columns = csvio.read_columns(path, _CSV_KINDS, TelemetryError)
+    user, game, start = columns["user_id"], columns["game_id"], columns["start_utc"]
+    session, play = columns["session_time"], columns["play_time"]
+    count, diversity = columns["activity_index"], columns["activity_diversity"]
+    row_checks = (  # in the order each row is checked
+        ((user == "") | (game == ""), "empty user_id or game_id"),
+        ((session < 0) | (play < 0) | (columns["delta_session"] < 0), "negative duration"),
+        (play > session, "play_time exceeds session_time"),
+        ((count < 0) | (diversity < 0) | (diversity > count), "inconsistent activity counts"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in row_checks])
+    if bad.any():
+        row = int(np.argmax(bad))
+        reason = next(reason for mask, reason in row_checks if mask[row])
+        raise TelemetryError(f"line {row + 2}: {reason}")
 
-    traces = []
-    for (user_id, game_id), records in sorted(groups.items()):
-        records.sort(key=lambda r: r.start_utc)
-        starts = [r.start_utc for r in records]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise TelemetryError(f"user {user_id}: non-monotone session timestamps")
-        rebuilt = []
-        prev_end: Optional[float] = None
-        for r in records:
-            delta = 0.0 if prev_end is None else float(r.start_utc - prev_end)
-            if delta < 0:
-                raise TelemetryError(f"user {user_id}: overlapping sessions")
-            rebuilt.append(replace(r, delta_session=delta))
-            prev_end = r.start_utc + r.session_time
-        trace = PlayerTrace(
-            user_id=user_id,
-            game_id=game_id,
-            sessions=rebuilt,
-            total_play_time=sum(s.play_time for s in rebuilt),
-            total_sessions=len(rebuilt),
+    if not user.size:
+        return []
+    order = np.lexsort((start, game, user))
+    user, game, start, session = user[order], game[order], start[order], session[order]
+    same = (user[1:] == user[:-1]) & (game[1:] == game[:-1])  # row i + 1 continues row i's pair
+    gap = start[1:] - (start[:-1] + session[:-1])
+    pair = np.cumsum(np.r_[0, ~same])
+    repeated, overlapping = pair[1:][same & (start[1:] == start[:-1])], pair[1:][same & (gap < 0)]
+    if repeated.size or overlapping.size:
+        first = min(repeated.min(initial=len(order)), overlapping.min(initial=len(order)))
+        problem = ("non-monotone session timestamps" if first in repeated
+                   else "overlapping sessions")
+        raise TelemetryError(f"user {user[np.searchsorted(pair, first)]}: {problem}")
+
+    delta = np.r_[0.0, np.where(same, gap, 0.0)]
+    play_list = play[order].tolist()
+    sessions = [
+        SessionRecord(user_id=u, game_id=g, start_utc=t, session_time=st, play_time=pt,
+                      delta_session=d, activity_index=ai, activity_diversity=ad,
+                      env=env_stamp(t, region))
+        for u, g, t, st, pt, d, ai, ad, region in zip(
+            user.tolist(), game.tolist(), start.tolist(), session.tolist(), play_list,
+            delta.tolist(), count[order].tolist(), diversity[order].tolist(),
+            columns["region"][order].tolist())
+    ]
+    bounds = np.append(np.flatnonzero(np.r_[True, ~same]), len(order)).tolist()
+    return [
+        PlayerTrace(
+            user_id=sessions[a].user_id,
+            game_id=sessions[a].game_id,
+            sessions=sessions[a:b],
+            total_play_time=sum(play_list[a:b]),
+            total_sessions=b - a,
             completed=False,
             latent_trace=None,
         )
-        trace.validate()
-        traces.append(trace)
-    return traces
+        for a, b in zip(bounds, bounds[1:])
+    ]

@@ -1,5 +1,5 @@
-"""Trace builders, a deadline, a relative error and the acceptance verdict log shared by
-the test modules.
+"""Trace builders, ids that need CSV quoting, a deadline, a relative error and the
+acceptance verdict log shared by the test modules.
 
 Test modules import these by name; conftest.py keeps only pytest hooks and
 fixtures, so two conftest.py files on the import path never shadow each other.
@@ -17,6 +17,11 @@ from salience_lab.telemetry import PlayerTrace, SessionRecord, env_stamp
 #: Verdict lines recorded by the acceptance suite; conftest.py echoes them
 #: after the run so they stay visible without -s.
 ACCEPTANCE_LINES: list[str] = []
+
+#: Ids that need csv quoting or that a reader splitting on ',' or cutting at '#' would
+#: break: a comment character, a delimiter, quotes, spaces, line breaks, non-ASCII text.
+ODD_IDS = ["u#1", "a,b", 'q"t"', "sp ace", " lead", "trail ", "new\nline", "cr\r\nlf",
+           "cr\ronly", "ünï☃", "日本語"]
 
 
 def make_trace(

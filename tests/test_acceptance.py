@@ -17,7 +17,6 @@ import pytest
 
 from salience_lab.analysis import (
     elbow_select,
-    final_embeddings,
     lloyd_kmeans,
     minibatch_kmeans,
     principal_scores,
@@ -371,9 +370,7 @@ def test_criterion_5_salience_recovery(benchmark_runs):
         pred = _mean_predicted_ss(run["melchior"], run["split"].test)
         users = sorted(pred)
         rho_pred = spearman([true_salience[u] for u in users], [pred[u] for u in users])
-        z_users, z_final = final_embeddings(
-            extract_embedding(run["melchior"], run["split"].test)
-        )
+        z_users, z_final = extract_embedding(run["melchior"], run["split"].test)
         # the principal axis has arbitrary orientation; magnitude is the claim
         rho_pc = abs(
             spearman([true_salience[u] for u in z_users], principal_scores(z_final).tolist())
@@ -395,9 +392,7 @@ def test_criterion_6_embedding_separation(benchmark_runs):
     ok = True
     for seed in SEEDS:
         run = benchmark_runs[seed]
-        z_users, z_final = final_embeddings(
-            extract_embedding(run["melchior"], run["split"].test)
-        )
+        z_users, z_final = extract_embedding(run["melchior"], run["split"].test)
         games = {t.user_id: t.game_id for t in run["split"].test}
         labels = [games[u] for u in z_users]
         sil_z = silhouette(z_final, labels, seed=seed)
@@ -428,7 +423,7 @@ def test_criterion_7_profile_contrast(benchmark_runs):
     for seed in SEEDS:
         run = benchmark_runs[seed]
         everyone = run["split"].train + run["split"].test
-        z_users, z_final = final_embeddings(extract_embedding(run["melchior"], everyone))
+        z_users, z_final = extract_embedding(run["melchior"], everyone)
         elbow = elbow_select(z_final, range(2, 7), seed=seed)
         assignments = {u: int(c) for u, c in zip(z_users, elbow.model.assign(z_final))}
         profile = profile_partitions(assignments, everyone, run["split"].scaler)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -98,21 +99,62 @@ def test_rerun_is_idempotent(pipeline_dir):
     assert (pipeline_dir / "eval" / "losses.csv").read_bytes() == before
 
 
-#: sha256 of what `simulate` and `featurize` write on smoke.json at seed 0.
-_PINNED_FEATURIZATION = {
-    "telemetry.csv": "f1af223f2d4fcaaa16570bd53c4827b35fe2f8f449753e8019864e3aa27e5a05",
-    "features/train.csv": "fbcf261cce51f57e2fe9e1624304f8a67dcd30d5f7ca4332c148a48c37c9ed14",
-    "features/test.csv": "d2ee7675acb53a2ba20a36c59680834e4c79a6b104cf06458c3c14a5bb0697e0",
+#: sha256 of every file that simulate, featurize, train (all three models), evaluate, embed,
+#: cluster and report write on smoke.json at seed 0, so that a change to a reader, a writer
+#: or a computation that moves any byte fails here.  telemetry and features are plain
+#: arithmetic; the files from models/ on also assume the numpy and OpenBLAS build they were
+#: taken with (numpy 2.4.6, OpenBLAS 0.3.31 on x86-64; the same at 1 and 2 BLAS threads).
+_PINNED_OUTPUTS = {
+    "cluster/clusters.csv": "96cc15123397343fd9a707c976fcfea71cbca6c70be3c1cb4b8d544fad1e2eac",
+    "cluster/elbow.json": "d2f6ea4d026bd98f8258e2190e932b481ff169522f993d0d567f910eea6fa7f9",
+    "cluster/profiles.json": "aee8b8e3764161fcadff31078d26d34855508318619497a6e74fec56ffc79914",
+    "embed/embedding_2d.csv": "809b3b417e23cca68fbaa19fab3843505ca3ed0d69c452379ed3a01ee6f550d5",
+    "embed/embeddings.csv": "32fce7b793a39a169ed9bec7e8919ef022f4c2939ef46ef876d80bd0b58e59fb",
+    "eval/cells.csv": "1027852aa8ca3afd0e608cfeea89436f3b49dc8d0b4c6f145299aa7ba5c2713d",
+    "eval/losses.csv": "31a52e32c11ac9dc2232f880a2257cb24bdd91fa0dff1720acfda19b408f19a9",
+    "eval/report.json": "c31e1ea0c5c8eaf4c9df4c6588d7171cb73f127d5f80a47d5ba9f1b6bbd0e9c5",
     "features/manifest.json": "d1c0bd227ca897c3c0059054b907d546287be2c2dc80c2efc3b21fd99485710b",
+    "features/test.csv": "d2ee7675acb53a2ba20a36c59680834e4c79a6b104cf06458c3c14a5bb0697e0",
+    "features/train.csv": "fbcf261cce51f57e2fe9e1624304f8a67dcd30d5f7ca4332c148a48c37c9ed14",
+    "models/melchior.bin": "e4c4c750b8a63b68111d9e93064eac54dd493d82098f297458d109801c454631",
+    "models/melchior.json": "75143ea17f2bf311449da32d4290d07ed77bf4e2f89a0ce97a96e9f8ef25fec0",
+    "models/melchior_history.csv": "08d7f184933adce92753d90a23fa53d8c49b660bcd85ae9afe5e583b273037b5",
+    "models/td_enet.bin": "ca2fffccbd64237cae971763156757cc54aada7ae70e66f2face7ab457c9b181",
+    "models/td_enet.json": "9c2cbaecef94c17e20642b92b2e355e415dcc5d10fb702df0e0cc1710e02ff7c",
+    "models/td_enet_history.csv": "45aaddbdb8954d2222d14d7aff87b16b4bfe3dde8ae03d4a22355aa6f5b8b167",
+    "models/td_mlp.bin": "a6a23b058e2e220ebe2a87ff28333a92091ad2429b7c77da555369929e414c40",
+    "models/td_mlp.json": "095cc79a5a66dad8559e9ffecc02d09d89924e9a6234dfd85e72781d1da5a63d",
+    "models/td_mlp_history.csv": "2f13d37df09e530c9f9c7cce0b5c493d983749dacb9a57b69547e743f27d491f",
+    "report/comparison.csv": "f501389a7d4dcbe6dd472a1e956557f6bcb28b9c18620a19a4429fb9cfd65d7f",
+    "report/embedding.svg": "2b65756273cf0010062f88e0aabf36441e2d95b99e84904336712bd4680e8ea2",
+    "report/profile_delta_session.svg": "e778b6808eab64cedb134c33a3295d4ee1ee1777249a7761a409c49808e30a77",
+    "report/profile_session_time.svg": "91b0e4db5b5d6940cc7bd8a9de5be7e9ea620ff180ec1fbd242ef54e476ea985",
+    "telemetry.csv": "f1af223f2d4fcaaa16570bd53c4827b35fe2f8f449753e8019864e3aa27e5a05",
+    "telemetry.latent.csv": "b6de501d3878f354d55fe5c35cd6515592afb0ce5338bf94b2c79bd00cf881b5",
 }
+_FEATURIZATION = ("telemetry.csv", "features/train.csv", "features/test.csv",
+                  "features/manifest.json")
+
+
+def _digests(out: Path, names) -> dict[str, str]:
+    return {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest() for rel in names}
 
 
 def test_featurized_split_is_pinned(tmp_path):
     for command in ("simulate", "featurize"):
         assert main(["--config", SMOKE, "--out", str(tmp_path), command]) == 0
-    digests = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
-               for rel in _PINNED_FEATURIZATION}
-    assert digests == _PINNED_FEATURIZATION
+    assert _digests(tmp_path, _FEATURIZATION) == {
+        rel: _PINNED_OUTPUTS[rel] for rel in _FEATURIZATION}
+
+
+def test_every_pipeline_output_is_pinned(tmp_path):
+    for argv in (["simulate"], ["featurize"], ["train", "--model", "td_enet"],
+                 ["train", "--model", "td_mlp"], ["train", "--model", "melchior"],
+                 ["evaluate"], ["embed"], ["cluster"], ["report"]):
+        assert main(["--config", SMOKE, "--out", str(tmp_path), *argv]) == 0
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted(_PINNED_OUTPUTS)
+    assert _digests(tmp_path, written) == _PINNED_OUTPUTS
 
 
 def test_unsupported_checkpoint_version_exits_2_with_an_error(pipeline_dir, tmp_path, capsys):
@@ -169,12 +211,10 @@ def test_embedding_2d_medians_are_the_target_medians(pipeline_dir):
     with (pipeline_dir / "embed" / "embedding_2d.csv").open(newline="") as fh:
         rows = {r["user_id"]: r for r in csv.DictReader(fh)}
     assert sorted(rows) == sorted(t.user_id for t in split.test)
-    for trace in split.test:
-        medians = target_medians(trace, split.scaler)
+    for trace, medians in zip(split.test, target_medians(split.test, split.scaler).tolist()):
         row = rows[trace.user_id]
         written = [row["ch"], row["median_st"], row["median_ss"], row["median_ab"]]
-        assert [float(v) for v in written] == [
-            0.0 if m is None else m for m in medians.values()]
+        assert [float(v) for v in written] == [0.0 if math.isnan(m) else m for m in medians]
 
 
 def test_cluster_covers_scope_users(pipeline_dir):
@@ -275,6 +315,17 @@ def test_mistyped_config_value_fails_naming_it(tmp_path, capsys, field):
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["--config", str(path), "--out", str(tmp_path), "simulate"]) == 2
     assert f"'{field}" in capsys.readouterr().err
+    assert not (tmp_path / "telemetry.csv").exists()
+
+
+@pytest.mark.parametrize("override", ["simulate.horizon_days=Infinity",
+                                      "models.melchior.lr=NaN",
+                                      "models.melchior.lr=-Infinity"])
+def test_non_finite_config_number_fails_naming_it(tmp_path, capsys, override):
+    argv = ["--config", SMOKE, "--out", str(tmp_path), "--set", override, "simulate"]
+    assert main(argv) == 2
+    key = override.split("=")[0]
+    assert f"config field '{key}' must be a finite" in capsys.readouterr().err
     assert not (tmp_path / "telemetry.csv").exists()
 
 

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import csv
+import dataclasses
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from salience_lab import csvio
 from salience_lab.features import (
     BEHAVIOUR_FIELDS,
     TARGETS,
@@ -24,7 +30,7 @@ from salience_lab.features import (
     split_users,
     target_medians,
 )
-from helpers import make_trace, random_trace
+from helpers import ODD_IDS, make_trace, random_trace
 
 
 # -- inactivity threshold ----------------------------------------------------
@@ -289,6 +295,96 @@ def test_dataset_round_trip(tmp_path, dataset):
                 assert np.array_equal(getattr(a, field), getattr(b, field)), (part, field)
 
 
+def _assert_same_traces(ours, theirs):
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        assert (a.user_id, a.game_id, a.game_idx) == (b.user_id, b.game_id, b.game_idx)
+        for field in ("behaviour", "env_idx", "ab_mask", *TARGETS.values()):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+            assert getattr(a, field).dtype == getattr(b, field).dtype, field
+
+
+
+def test_ids_that_need_quoting_round_trip(tmp_path, dataset):
+    def renamed(ft, i):
+        return dataclasses.replace(ft, user_id=ODD_IDS[i % len(ODD_IDS)] + str(i),
+                                   game_id=ODD_IDS[(i + 3) % len(ODD_IDS)])
+
+    odd = dataclasses.replace(
+        dataset,
+        train=sorted((renamed(ft, i) for i, ft in enumerate(dataset.train)),
+                     key=lambda t: (t.user_id, t.game_id)),
+        test=sorted((renamed(ft, -1 - i) for i, ft in enumerate(dataset.test)),
+                    key=lambda t: (t.user_id, t.game_id)))
+    save_dataset(odd, tmp_path / "ds")
+    loaded = load_dataset(tmp_path / "ds")
+    _assert_same_traces(loaded.train, odd.train)
+    _assert_same_traces(loaded.test, odd.test)
+
+
+def test_round_trip_across_write_chunks(tmp_path, dataset):
+    # copies under new user ids, so the train split spans several write chunks
+    many = [dataclasses.replace(ft, user_id=f"{ft.user_id}-{k}")
+            for ft in dataset.train for k in range(6)]
+    assert sum(ft.length for ft in many) > 2 * 4096
+    save_dataset(dataclasses.replace(dataset, train=many), tmp_path / "ds")
+    _assert_same_traces(load_dataset(tmp_path / "ds").train, many)
+
+
+@pytest.mark.parametrize("limit", [1, 5, 7, 1000])
+def test_chunks_cover_the_items_in_order_and_close_at_the_limit(limit):
+    lengths = [3, 1, 4, 1, 5, 9, 2, 6]
+    chunks = list(csvio.chunks(lengths, lambda n: n, limit))
+    assert [n for chunk in chunks for n in chunk] == lengths
+    for chunk in chunks[:-1]:
+        assert sum(chunk) >= limit > sum(chunk[:-1])
+    assert sum(chunks[-1][:-1]) < limit
+
+
+def test_header_only_split_loads_empty_without_warning(tmp_path, dataset):
+    save_dataset(dataclasses.replace(dataset, test=[]), tmp_path / "ds")
+    assert (tmp_path / "ds" / "test.csv").read_text(encoding="utf-8").count("\n") == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_dataset(tmp_path / "ds")
+    assert loaded.test == []
+    _assert_same_traces(loaded.train, dataset.train)
+
+
+def test_shuffled_rows_load_to_the_same_traces(tmp_path, dataset):
+    save_dataset(dataset, tmp_path / "ds")
+    path = tmp_path / "ds" / "train.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    np.random.default_rng(0).shuffle(rows)
+    path.write_text(header + "".join(rows), encoding="utf-8", newline="")
+    _assert_same_traces(load_dataset(tmp_path / "ds").train, dataset.train)
+
+
+def test_wrong_header_names_the_file(tmp_path, dataset):
+    save_dataset(dataset, tmp_path / "ds")
+    path = tmp_path / "ds" / "test.csv"
+    text = path.read_text(encoding="utf-8")
+    swapped = text.replace("session_time,play_time", "play_time,session_time", 1)
+    assert swapped != text
+    path.write_text(swapped, encoding="utf-8", newline="")
+    with pytest.raises(FeatureError, match=re.escape(str(path))):
+        load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("column, value", [("play_time", "1.2.3"), ("hour_idx", "1.5"),
+                                           ("game_idx", ""), ("ab", "x")])
+def test_malformed_number_names_its_line(tmp_path, dataset, column, value):
+    save_dataset(dataset, tmp_path / "ds")
+    path = tmp_path / "ds" / "train.csv"
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][rows[0].index(column)] = value
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    with pytest.raises(FeatureError, match="^line 4: malformed row"):
+        load_dataset(tmp_path / "ds")
+
+
 def _featurized(churn, st, ss, ab, ab_mask):
     n = len(churn)
     return FeaturizedTrace(
@@ -305,13 +401,53 @@ def test_target_medians_unscale_each_target_and_skip_masked_absence():
     trace = _featurized(churn=[0.5] * 4, st=[1.0, 0.5, 0.25, 0.0], ss=[0.75, 0.5, 0.25, 0.0],
                         ab=[0.0, 1.0, 0.5, 0.0], ab_mask=[1, 1, 1, 0])
     # unscaled: st 30, 20, 15, 10; ss 3, 2, 1, 0; observed ab 2, 6, 4
-    assert target_medians(trace, scaler) == {"ch": 0.5, "st": 17.5, "ss": 1.5, "ab": 4.0}
+    assert target_medians([trace], scaler).tolist() == [[0.5, 17.5, 1.5, 4.0]]
 
 
 def test_target_medians_of_a_length_one_trace_has_no_absence():
     scaler = ScalerStats(names=("st", "ss", "ab"), mins=(0.0, 0.0, 0.0), maxs=(1.0, 1.0, 1.0))
-    medians = target_medians(_featurized([1.0], [0.0], [0.0], [0.0], [0.0]), scaler)
-    assert medians == {"ch": 1.0, "st": 0.0, "ss": 0.0, "ab": None}
+    medians = target_medians([_featurized([1.0], [0.0], [0.0], [0.0], [0.0])], scaler)
+    assert medians.shape == (1, 4)
+    assert medians[0, :3].tolist() == [1.0, 0.0, 0.0]
+    assert np.isnan(medians[0, 3])
+
+
+def _reference_target_medians(trace, scaler):
+    # one trace at a time through np.median; None where absence is never observed
+    medians = []
+    for name, field in TARGETS.items():
+        values = getattr(trace, field)
+        if name == "ab":
+            values = values[trace.ab_mask > 0]
+            if not values.size:
+                medians.append(None)
+                continue
+        if name != "ch":
+            values = invert_scaler(scaler, name, values)
+        medians.append(float(np.median(values)))
+    return medians
+
+
+def test_target_medians_equal_np_median_per_trace():
+    rng = np.random.default_rng(11)
+    scaler = ScalerStats(names=("st", "ss", "ab"), mins=(3.0, 0.0, -1.5),
+                         maxs=(2000.0, 21.0, 7.0e4))
+    traces = []
+    for n in [1, 2, 3, 4] + rng.integers(1, 23, size=300).tolist():
+        ab_mask = (rng.random(n) < 0.7).astype(float)
+        # ties and repeated values, as remaining-session counts and churn have
+        traces.append(_featurized(
+            churn=[rng.choice([0.0, 0.5, 1.0])] * n, st=rng.random(n),
+            ss=np.round(rng.random(n), 1), ab=rng.random(n) * ab_mask, ab_mask=ab_mask))
+    for trace in traces[5:7]:  # a nan anywhere in a trace makes its median nan
+        trace.survival_time[0] = np.nan
+    table = target_medians(traces, scaler)
+    assert table.shape == (len(traces), 4)
+    for trace, row in zip(traces, table):
+        expected = _reference_target_medians(trace, scaler)
+        np.testing.assert_array_equal(row, [np.nan if m is None else m for m in expected])
+    assert np.isnan(table[:, 3]).any() and np.isnan(table[5:7, 1]).all()
+    assert target_medians([], scaler).shape == (0, 4)
 
 
 def test_dataset_requires_traces():

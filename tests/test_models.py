@@ -742,11 +742,11 @@ def test_evaluate_empty_split_errors(dataset):
 
 def test_extract_embedding_widths_and_purity(dataset):
     model = MelchiorModel(dataset.vocabs, SMALL_ARCH, seed=0)
-    z1 = extract_embedding(model, dataset.test)
-    z2 = extract_embedding(model, dataset.test)
-    for t in dataset.test:
-        assert z1[t.user_id].shape == (t.length, SMALL_ARCH.d_z)
-        assert np.array_equal(z1[t.user_id], z2[t.user_id])
+    users, z1 = extract_embedding(model, dataset.test)
+    again, z2 = extract_embedding(model, dataset.test)
+    assert users == again == sorted(t.user_id for t in dataset.test)
+    assert z1.shape == (len(dataset.test), SMALL_ARCH.d_z)
+    assert np.array_equal(z1, z2)
 
 
 def test_extract_embedding_causal_prefix(dataset):
@@ -765,9 +765,15 @@ def test_extract_embedding_causal_prefix(dataset):
     truncated.survival_sessions = truncated.survival_sessions[:cut]
     truncated.absence = truncated.absence[:cut]
     truncated.ab_mask = truncated.ab_mask[:cut]
-    z_full = extract_embedding(model, [donor])[donor.user_id]
-    z_cut = extract_embedding(model, [truncated])[donor.user_id]
+    model.forward(make_batches([donor], 1)[0])
+    z_full = model.hidden_states[0].copy()
+    model.forward(make_batches([truncated], 1)[0])
+    z_cut = model.hidden_states[0].copy()
+    assert z_full.shape == (donor.length, SMALL_ARCH.d_z)
     assert np.allclose(z_full[:cut], z_cut)
+    # extract_embedding keeps exactly the state after each trace's final session
+    assert np.array_equal(extract_embedding(model, [donor])[1], z_full[-1:])
+    assert np.array_equal(extract_embedding(model, [truncated])[1], z_cut[-1:])
 
 
 # -- persistence ---------------------------------------------------------------------------

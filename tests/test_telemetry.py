@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ODD_IDS, make_trace
 from salience_lab.telemetry import (
+    CSV_COLUMNS,
     GameSpec,
     LatentPlayerState,
     TelemetryError,
@@ -262,3 +266,98 @@ def test_population_deterministic():
     assert one == two
     other = simulate_population(games, 5, 0, 10, seed=4)
     assert one != other
+
+
+
+def test_csv_round_trip_of_ids_that_need_quoting(tmp_path):
+    traces = [
+        make_trace(user, ODD_IDS[(i + 3) % len(ODD_IDS)], [100 * i, 100 * i + 50],
+                   [10.0 + i, 20.0], region=ODD_IDS[(i + 5) % len(ODD_IDS)])
+        for i, user in enumerate(ODD_IDS)
+    ]
+    path = tmp_path / "telemetry.csv"
+    write_csv(traces, path)
+    recovered = ingest_csv(path)
+    expected = sorted(traces, key=lambda t: (t.user_id, t.game_id))
+    assert [(t.user_id, t.game_id) for t in recovered] == [
+        (t.user_id, t.game_id) for t in expected]
+    for ours, theirs in zip(recovered, expected):
+        assert ours.sessions == theirs.sessions
+        assert ours.total_play_time == theirs.total_play_time
+
+
+def test_ingest_header_only_without_warning(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_csv([], path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ingest_csv(path) == []
+
+
+def test_ingest_shuffled_rows_gives_the_same_traces(tmp_path, small_population):
+    path = tmp_path / "telemetry.csv"
+    write_csv(small_population, path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    np.random.default_rng(1).shuffle(rows)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows), encoding="utf-8", newline="")
+    assert ingest_csv(shuffled) == ingest_csv(path)
+
+
+@pytest.mark.parametrize("field, value", [("start_utc", "1.5"), ("start_utc", "1e3"),
+                                          ("session_time", "ten"), ("activity_index", "2.0"),
+                                          ("region", None)])
+def test_ingest_malformed_value_names_its_line(tmp_path, field, value):
+    rows = [["u1", "g", "0", "30.0", "20.0", "0.0", "3", "2", "eu"],
+            ["u1", "g", "100", "10.0", "5.0", "0.0", "3", "1", "eu"]]
+    column = CSV_COLUMNS.index(field)
+    if value is None:
+        del rows[1][column:]  # a short row
+    else:
+        rows[1][column] = value
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(",".join(r) + "\r\n" for r in [CSV_COLUMNS, *rows]),
+                    encoding="utf-8", newline="")
+    with pytest.raises(TelemetryError, match="^line 3: malformed row"):
+        ingest_csv(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    # u1's second session starts half a minute before its first one ends
+    ([("u1", "g", 0, "10.5"), ("u1", "g", 10, "5.0")], "user u1: overlapping sessions"),
+    # the first (user, game) pair in sorted order is reported, whatever the row order
+    ([("u2", "g", 50, "5.0"), ("u2", "g", 50, "5.0"), ("u1", "g", 0, "10.5"),
+      ("u1", "g", 10, "5.0")], "user u1: overlapping sessions"),
+    ([("u1", "h", 0, "10.5"), ("u1", "h", 10, "5.0"), ("u1", "g", 7, "5.0"),
+      ("u1", "g", 7, "5.0")], "user u1: non-monotone session timestamps"),
+    # within one pair a repeated start is reported before an overlap
+    ([("u1", "g", 0, "10.5"), ("u1", "g", 10, "5.0"), ("u1", "g", 10, "5.0")],
+     "user u1: non-monotone session timestamps"),
+])
+def test_ingest_names_the_first_pair_with_bad_timestamps(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    lines = [",".join(CSV_COLUMNS)] + [f"{u},{g},{start},{length},1.0,0.0,3,2,eu"
+                                       for u, g, start, length in rows]
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+    with pytest.raises(TelemetryError, match=f"^{message}$"):
+        ingest_csv(path)
+
+
+def test_start_utc_above_2_to_53_round_trips_exactly(tmp_path):
+    big = 2**53 + 1  # not a float64: a reader that parsed through float would give 2**53
+    starts = [big, big + 101, big + 2**40]
+    trace = make_trace("u1", "g", starts, [30.0, 10.0, 5.0])
+    path = tmp_path / "telemetry.csv"
+    write_csv([trace], path)
+    (recovered,) = ingest_csv(path)
+    assert [s.start_utc for s in recovered.sessions] == starts
+    assert recovered.sessions == trace.sessions
+    for s in recovered.sessions:
+        assert (s.env.hour_of_day, s.env.day_of_week, s.env.day_of_year) == _oracle_stamp(
+            s.start_utc)
+
+
+def test_env_stamp_repeats_every_400_gregorian_years():
+    cycle = 146097 * 1440
+    for minute in (0, 59, 1440 * 59 + 17, 10**9, cycle - 1):
+        assert env_stamp(minute + 7 * cycle, "eu") == env_stamp(minute, "eu")
