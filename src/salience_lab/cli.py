@@ -20,6 +20,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import analysis, csvio, features, models, neural, svg, telemetry, tuning
 from .features import TARGETS, DatasetSplit, build_dataset, load_dataset, save_dataset
 from .models import ArchConfig, TrainConfig
@@ -63,8 +65,8 @@ def _typed(value, kind, path: str):
     An int takes a finite whole number and a float any finite number (neither a
     bool, nor JSON's Infinity or NaN), a str a string, an Optional None or its
     type, a tuple[...] a list checked element by element (and by length unless
-    it ends in ...), and a dataclass its own section.  Under any other
-    annotation a list becomes a tuple.
+    it ends in ...), and a dataclass its own section.  No str may hold NUL.
+    Under any other annotation a list becomes a tuple.
     """
     args = typing.get_args(kind)
     if typing.get_origin(kind) in (typing.Union, types.UnionType) and type(None) in args:
@@ -90,6 +92,8 @@ def _typed(value, kind, path: str):
     if kind is str:
         if not isinstance(value, str):
             raise CliError(f"config field '{path}' must be str, got {value!r}")
+        if "\x00" in value:
+            raise CliError(f"config field '{path}' must not hold NUL, got {value!r}")
         return value
     if dataclasses.is_dataclass(kind):
         return kind(**_settings(kind, value, path))
@@ -259,13 +263,14 @@ def _load_split(out: Path) -> DatasetSplit:
     return load_dataset(out / "features")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    csvio.write_rows(path, header, rows)
+    csvio.write_columns(path, header, columns)
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
+def _columns(rows: Sequence[Sequence]) -> list[list]:
+    """The columns of rows of equal length (none for no rows)."""
+    return [list(column) for column in zip(*rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +319,7 @@ def cmd_train(config: dict, out: Path, kind: str) -> None:
     _write_csv(
         model_dir / f"{kind}_history.csv",
         ["epoch", "train_loss", "val_loss"],
-        [[row["epoch"], _fmt_float(row["train"]), _fmt_float(row["val"])] for row in history],
+        _columns([row["epoch"], row["train"], row["val"]] for row in history),
     )
     print(f"train: {kind} -> {model_dir / (kind + '.json')}")
 
@@ -356,17 +361,16 @@ def cmd_evaluate(config: dict, out: Path) -> None:
         report = models.evaluate(model, split.test)
         found.append((kind, report))
         for target in TARGETS:
-            rows.append([kind, target, _fmt_float(report.overall[target])])
-        for game, idx, target, loss, count in report.cell_rows():
-            cell_rows.append([kind, game, idx, target, _fmt_float(loss), count])
+            rows.append([kind, target, report.overall[target]])
+        cell_rows.extend([kind, *cell] for cell in report.cell_rows())
     if not found:
         raise CliError(f"evaluate: no trained models under {model_dir}")
     eval_dir = out / "eval"
-    _write_csv(eval_dir / "losses.csv", ["model", "target", "loss"], rows)
+    _write_csv(eval_dir / "losses.csv", ["model", "target", "loss"], _columns(rows))
     _write_csv(
         eval_dir / "cells.csv",
         ["model", "game", "session_index", "target", "loss", "count"],
-        cell_rows,
+        _columns(cell_rows),
     )
     payload = {kind: report.overall for kind, report in found}
     (eval_dir / "report.json").write_text(
@@ -398,19 +402,15 @@ def cmd_embed(config: dict, out: Path) -> None:
     _write_csv(
         embed_dir / "embeddings.csv",
         ["user_id"] + [f"z{i}" for i in range(d_z)],
-        [[u, *map(_fmt_float, row)] for u, row in zip(users, z_final.tolist())],
+        [users, *z_final.T],
     )
     ordered = [by_user[user] for user in users]
-    medians = features.target_medians(ordered, split.scaler).tolist()
-    rows = [
-        [user, _fmt_float(x), _fmt_float(y), ft.game_id]
-        + [_fmt_float(0.0 if math.isnan(m) else m) for m in row]  # nan: absence never observed
-        for user, ft, (x, y), row in zip(users, ordered, coords[:, :2].tolist(), medians)
-    ]
+    medians = features.target_medians(ordered, split.scaler)
+    medians[np.isnan(medians)] = 0.0  # absence never observed
     _write_csv(
         embed_dir / "embedding_2d.csv",
         ["user_id", "x", "y", "game", "ch", "median_st", "median_ss", "median_ab"],
-        rows,
+        [users, *coords[:, :2].T, [ft.game_id for ft in ordered], *medians.T],
     )
     print(f"embed: {len(users)} users -> {embed_dir / 'embedding_2d.csv'}")
 
@@ -427,7 +427,7 @@ def cmd_cluster(config: dict, out: Path) -> None:
     _write_csv(
         cluster_dir / "clusters.csv",
         ["user_id", "cluster"],
-        [[u, assignments[u]] for u in users],
+        [users, [assignments[u] for u in users]],
     )
     (cluster_dir / "profiles.json").write_text(profile.to_json(), encoding="utf-8")
     (cluster_dir / "elbow.json").write_text(elbow.to_json(), encoding="utf-8")
@@ -452,9 +452,9 @@ def cmd_report(config: dict, out: Path) -> None:
         entries = dict(by_target.get(target, []))
         rows.append(
             [target]
-            + [(_fmt_float(entries[k]) if k in entries else "") for k in MODEL_KINDS]
+            + [(repr(entries[k]) if k in entries else "") for k in MODEL_KINDS]
         )
-    _write_csv(report_dir / "comparison.csv", ["target", *MODEL_KINDS], rows)
+    _write_csv(report_dir / "comparison.csv", ["target", *MODEL_KINDS], _columns(rows))
 
     # 2-D embedding scatter per game
     with embed_path.open(newline="", encoding="utf-8") as fh:

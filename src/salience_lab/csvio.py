@@ -1,20 +1,20 @@
-"""Column-at-a-time CSV reading on numpy's C parser, and CSV writing in row chunks.
+"""Column-at-a-time CSV reading on numpy's C parser, and column-at-a-time CSV writing.
 
-Every CSV file of the pipeline is written by ``csv.writer`` with its default
+Every CSV file of the pipeline holds what ``csv.writer`` writes with its default
 dialect: comma-separated, CRLF line ends, and a field that holds a comma, a
 double quote, CR or LF enclosed in double quotes with each inner quote doubled.
-``read_columns`` accepts exactly that quoting.  ``#`` is an ordinary character.
+``write_columns`` writes those bytes and ``read_columns`` accepts exactly that
+quoting.  ``#`` is an ordinary character; NUL is rejected.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
-
-T = TypeVar("T")
 
 _DTYPES = {str: str, int: np.int64, float: np.float64}
 
@@ -25,8 +25,10 @@ def read_columns(path: Path, columns: Mapping[str, type],
 
     `columns` maps each name, in file order, to str, int or float, read as a str,
     int64 or float64 array (an int column never goes through float).  A wrong
-    header, or a row with a field that does not parse, raises `error` naming the
-    file or the line.  A file with only its header gives empty columns.
+    header, a field that holds NUL (a str array would drop a trailing one, so
+    that ``u1\\x00`` read as ``u1``), or a row with a field that does not parse,
+    raises `error` naming the file or the line.  A file with only its header
+    gives empty columns.
     """
     names = tuple(columns)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -36,6 +38,10 @@ def read_columns(path: Path, columns: Mapping[str, type],
             raise error(f"{path}: header must be {','.join(names)}, got {header}")
         body = fh.tell()
         empty = not fh.read(1)
+        with path.open("rb") as raw:  # UTF-8 has a 0 byte only where the text holds NUL
+            while chunk := raw.read(1 << 20):
+                if b"\x00" in chunk:
+                    raise error(_first_nul(path, names))
         out: dict[str, np.ndarray] = {}
         for kind, dtype in _DTYPES.items():
             used = [i for i, name in enumerate(names) if columns[name] is kind]
@@ -72,23 +78,63 @@ def _first_bad_row(path: Path, columns: Mapping[str, type], exc: ValueError) -> 
     return f"{path}: malformed row ({exc})"
 
 
-def chunks(items: Sequence[T], rows: Callable[[T], int], limit: int = 4096) -> Iterator[list[T]]:
-    """Consecutive runs of items, each closed once it holds at least `limit` rows."""
-    chunk: list[T] = []
-    count = 0
-    for item in items:
-        chunk.append(item)
-        count += rows(item)
-        if count >= limit:
-            yield chunk
-            chunk, count = [], 0
-    if chunk:
-        yield chunk
+def _first_nul(path: Path, names: Sequence[str]) -> str:
+    """A message naming the first data line, and its column, that holds NUL."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = (row for row in csv.reader(fh) if row)
+        next(rows)
+        for line_no, row in enumerate(rows, start=2):
+            for name, value in zip(names, row):
+                if "\x00" in value:
+                    return f"line {line_no}: NUL in {name}"
+    return f"{path}: NUL outside the columns"
 
 
-def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write header and rows by csv.writer, which writes a float as its repr."""
+#: Rows formatted and written at a time, so that a large file never exists as text at once.
+BLOCK_ROWS = 4096
+
+
+def write_columns(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write header and then the rows whose fields are the columns' entries.
+
+    Each column is an array, or a list that np.asarray makes one: a float column
+    is written as each value's repr, an int column as its digits, and a str
+    column as csv.writer quotes each distinct value.  So the file holds the
+    bytes that csv.writer would write for the same rows of Python floats, ints
+    and strs.  Rows are formatted a column at a time, BLOCK_ROWS rows at a time.
+    """
+    columns = [np.asarray(column) for column in columns]
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError(f"{path}: columns of unequal length")
+    quoted: list[dict] = [{} for _ in columns]  # per str column: value -> field text
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        for start in range(0, n_rows, BLOCK_ROWS):
+            fields = [_field_texts(column[start:start + BLOCK_ROWS], memo)
+                      for column, memo in zip(columns, quoted)]
+            if len(fields) == 1:  # csv.writer quotes a row's only field when it is empty
+                fields[0] = [text or '""' for text in fields[0]]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
+def _field_texts(values: np.ndarray, memo: dict) -> list[str]:
+    """The CSV field of each entry; memo caches the quoted text of str values."""
+    kind = values.dtype.kind
+    if kind == "f":
+        return list(map(float.__repr__, values.tolist()))
+    if kind in "iu":
+        return list(map(int.__repr__, values.tolist()))
+    if kind != "U":
+        raise TypeError(f"cannot write a column of dtype {values.dtype}")
+    values = values.tolist()
+    new = set(values).difference(memo)
+    if new:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        for value in new:  # the value and an empty field: its text is all but ",\r\n"
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerow((value, ""))
+            memo[value] = buffer.getvalue()[:-3]
+    return list(map(memo.__getitem__, values))

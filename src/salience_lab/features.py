@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import csvio
-from .telemetry import PlayerTrace
+from .telemetry import SessionTable, env_stamp
 
 BEHAVIOUR_FIELDS = (
     "session_time",
@@ -67,10 +67,33 @@ def inactivity_threshold(gaps: Sequence[float]) -> float:
     """Inactivity cutoff Q3 + 1.5 * IQR over a game's inter-session gaps."""
     if len(gaps) == 0:
         raise FeatureError("inactivity_threshold needs a non-empty gap vector")
-    ordered = sorted(float(g) for g in gaps)
+    return _sorted_threshold(np.sort(np.asarray(gaps, dtype=np.float64)))
+
+
+def _sorted_threshold(ordered: np.ndarray) -> float:
     q1 = _quantile_type7(ordered, 0.25)
     q3 = _quantile_type7(ordered, 0.75)
     return q3 + 1.5 * (q3 - q1)
+
+
+def _game_thresholds(traces: SessionTable) -> dict[str, float]:
+    """Each game's inactivity threshold over the gaps of all its traces, by game id.
+
+    The gaps are every session's delta_session but each trace's first (its zero).
+    """
+    later = np.ones(len(traces.user_id), dtype=bool)
+    later[traces.first_rows] = False
+    games, owner = np.unique(traces.game_id, return_inverse=True)
+    gaps, owner = traces.delta_session[later], owner[later]
+    gaps = gaps[np.lexsort((gaps, owner))]  # by game, then ascending
+    counts = np.bincount(owner, minlength=len(games))
+    starts = np.cumsum(counts) - counts
+    thresholds = {}
+    for game_id, start, count in zip(games.tolist(), starts.tolist(), counts.tolist()):
+        if not count:
+            raise FeatureError(f"game {game_id}: no inter-session gaps to fit a threshold")
+        thresholds[game_id] = _sorted_threshold(gaps[start:start + count])
+    return thresholds
 
 
 def churn_probability(completed: bool, inactive_for: float, threshold: float) -> float:
@@ -82,29 +105,57 @@ def churn_probability(completed: bool, inactive_for: float, threshold: float) ->
     return 0.5
 
 
-def compute_targets(
-    trace: PlayerTrace, threshold: float, observation_end: float
-) -> dict[str, np.ndarray]:
-    """Per-session targets, unscaled, under their FeaturizedTrace field names, plus ab_mask.
+def _sessions_after(offsets: np.ndarray) -> np.ndarray:
+    """Per row, how many sessions of its trace follow it (0 at each trace's last)."""
+    lengths = np.diff(offsets)
+    return np.repeat(offsets[1:], lengths) - 1 - np.arange(offsets[-1])
 
-    Remaining play time at session t is the suffix sum of play_time after t,
-    so it is exactly zero at the final session.  The absence gap of the final
-    session is unobservable: it is 0 there, and ab_mask is 0.0 there and 1.0
-    elsewhere.
+
+def _suffix_sums(values: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Per row, the sum of the values of the rows after it in its trace.
+
+    Each trace's sums are added from its last row backwards, one row at a time,
+    as np.cumsum adds the trace's values reversed: all rows k sessions before
+    their trace's end are summed at once, for k = 1, 2, ...  A row with none
+    after it gets 0.0.
     """
-    n = trace.total_sessions
-    play = np.asarray([s.play_time for s in trace.sessions], dtype=np.float64)
-    absence = np.asarray([s.delta_session for s in trace.sessions[1:]] + [0.0])
-    ab_mask = np.ones(n)
-    ab_mask[-1] = 0.0
+    out = np.zeros(len(values))
+    order = np.argsort(after, kind="stable")
+    bounds = np.searchsorted(after[order], np.arange(after.max(initial=0) + 2))
+    for k in range(1, len(bounds) - 1):
+        rows = order[bounds[k]:bounds[k + 1]]
+        out[rows] = values[rows + 1] if k == 1 else out[rows + 1] + values[rows + 1]
+    return out
 
-    last = trace.sessions[-1]
-    inactive_for = max(0.0, observation_end - (last.start_utc + last.session_time))
+
+def compute_targets(
+    traces: SessionTable, thresholds: float | np.ndarray, observation_end: float
+) -> dict[str, np.ndarray]:
+    """Per-session targets of every trace, unscaled, under their FeaturizedTrace field
+    names, plus ab_mask; each array has one entry per row of the table.
+
+    thresholds is each trace's inactivity threshold, or one for all.  Remaining
+    play time at session t is the suffix sum of play_time after t, so it is
+    exactly zero at the final session.  The absence gap of the final session is
+    unobservable: it is 0 there, and ab_mask is 0.0 there and 1.0 elsewhere.
+    """
+    offsets, last = traces.offsets, traces.last_rows
+    after = _sessions_after(offsets)
+    ab_mask = np.ones(len(after))
+    ab_mask[last] = 0.0
+    absence = np.zeros(len(after))  # each session's next gap
+    absence[:-1] = traces.delta_session[1:]
+    absence[last] = 0.0
+
+    inactive_for = np.maximum(
+        0.0, observation_end - (traces.start_utc[last] + traces.session_time[last]))
+    thresholds = np.broadcast_to(np.asarray(thresholds, dtype=np.float64), last.shape)
+    churn = [churn_probability(*state) for state in zip(
+        traces.completed.tolist(), inactive_for.tolist(), thresholds.tolist())]
     return {
-        "churn": np.full(n, churn_probability(trace.completed, inactive_for, threshold)),
-        # added from the last session backwards, one session at a time
-        "survival_time": np.append(np.cumsum(play[:0:-1])[::-1], 0.0),
-        "survival_sessions": np.arange(n - 1, -1, -1, dtype=np.float64),
+        "churn": np.repeat(np.asarray(churn, dtype=np.float64), np.diff(offsets)),
+        "survival_time": _suffix_sums(traces.play_time, after),
+        "survival_sessions": after.astype(np.float64),
         "absence": absence,
         "ab_mask": ab_mask,
     }
@@ -186,6 +237,15 @@ class Vocab:
 
     def encode(self, value) -> int:
         return self._index.get(value, 0)
+
+    def codes(self, values: np.ndarray) -> np.ndarray:
+        """encode of each value, as int64: its sorted position from 1, or 0 out of vocabulary."""
+        values = np.asarray(values)
+        if not self.tokens:
+            return np.zeros(values.shape, dtype=np.int64)
+        tokens = np.asarray(self.tokens)
+        at = np.minimum(np.searchsorted(tokens, values), len(tokens) - 1)
+        return np.where(tokens[at] == values, at + 1, 0).astype(np.int64)
 
 
 def build_vocab(values: Iterable) -> Vocab:
@@ -304,25 +364,8 @@ class DatasetSplit:
     observation_end: float
 
 
-def _behaviour_matrix(trace: PlayerTrace) -> np.ndarray:
-    rows = [
-        (s.session_time, s.play_time, s.delta_session, s.activity_index, s.activity_diversity)
-        for s in trace.sessions
-    ]
-    return np.asarray(rows, dtype=np.float64)
-
-
-def game_gap_pool(traces: Sequence[PlayerTrace]) -> dict[str, list[float]]:
-    """All inter-session gaps per game (first-session zeros excluded)."""
-    pools: dict[str, list[float]] = {}
-    for trace in traces:
-        pool = pools.setdefault(trace.game_id, [])
-        pool.extend(s.delta_session for s in trace.sessions[1:])
-    return pools
-
-
 def build_dataset(
-    traces: Sequence[PlayerTrace],
+    traces: SessionTable,
     ratio: float = 0.8,
     seed: int = 0,
     observation_end: float | None = None,
@@ -332,86 +375,75 @@ def build_dataset(
     Inactivity thresholds are computed per game over every provided trace;
     vocabularies for region/game and all scaler statistics are fit on the
     training split only, so they are identical whether or not the test split
-    exists.
+    exists.  Each split lists its traces in (user_id, game_id) order, each a
+    slice of arrays built once for the whole split.
     """
-    if not traces:
+    if not len(traces):
         raise FeatureError("build_dataset needs at least one trace")
     if observation_end is None:
-        observation_end = max(
-            t.sessions[-1].start_utc + t.sessions[-1].session_time for t in traces
-        )
+        last = traces.last_rows
+        observation_end = np.max(traces.start_utc[last] + traces.session_time[last])
+    observation_end = float(observation_end)
+    thresholds = _game_thresholds(traces)
 
-    pools = game_gap_pool(traces)
-    thresholds = {}
-    for game_id in sorted(pools):
-        if not pools[game_id]:
-            raise FeatureError(f"game {game_id}: no inter-session gaps to fit a threshold")
-        thresholds[game_id] = inactivity_threshold(pools[game_id])
-
-    train_users, test_users = split_users([t.user_id for t in traces], ratio, seed)
-    train_raw = [t for t in traces if t.user_id in train_users]
-    test_raw = [t for t in traces if t.user_id in test_users]
-    train_raw.sort(key=lambda t: (t.user_id, t.game_id))
-    test_raw.sort(key=lambda t: (t.user_id, t.game_id))
+    users = traces.user_id[traces.first_rows]
+    train_users, _ = split_users(users.tolist(), ratio, seed)
+    in_train = np.array([user in train_users for user in users.tolist()], dtype=bool)
+    order = np.lexsort((traces.game_id[traces.first_rows], users))  # stable, as sorted() is
+    train_raw, test_raw = traces.take(order[in_train[order]]), traces.take(order[~in_train[order]])
 
     vocabs = Vocabularies(
         hour=HOUR_VOCAB,
         weekday=WEEKDAY_VOCAB,
         yearday=YEARDAY_VOCAB,
-        region=build_vocab(s.env.region for t in train_raw for s in t.sessions),
-        game=build_vocab(t.game_id for t in train_raw),
+        region=build_vocab(np.unique(train_raw.region).tolist()),
+        game=build_vocab(np.unique(train_raw.game_id).tolist()),
     )
 
-    def raw_arrays(trace: PlayerTrace) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        return (_behaviour_matrix(trace),
-                compute_targets(trace, thresholds[trace.game_id], observation_end))
+    def raw_arrays(table: SessionTable) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        behaviour = np.stack([np.asarray(getattr(table, name), dtype=np.float64)
+                              for name in BEHAVIOUR_FIELDS], axis=1)
+        games = table.game_id[table.first_rows].tolist()
+        return behaviour, compute_targets(table, [thresholds[g] for g in games], observation_end)
 
-    train_arrays = [raw_arrays(t) for t in train_raw]
-    behaviour_train = np.concatenate([raw for raw, _ in train_arrays], axis=0)
+    behaviour_train, targets_train = raw_arrays(train_raw)
     columns = {name: behaviour_train[:, j] for j, name in enumerate(BEHAVIOUR_FIELDS)}
     for name, field in TARGETS.items():
         if name != "ch":  # churn stays unscaled; absence is fitted where it is observed
-            values = np.concatenate([
-                targets[field][targets["ab_mask"] > 0] if name == "ab" else targets[field]
-                for _, targets in train_arrays
-            ])
+            values = targets_train[field]
+            if name == "ab":
+                values = values[targets_train["ab_mask"] > 0]
             columns[name] = values if values.size else np.zeros(1)
     scaler = fit_scaler(columns)
-    del behaviour_train, columns  # not kept while the featurized traces are built
 
-    def featurize(trace: PlayerTrace, behaviour: np.ndarray,
-                  targets: dict[str, np.ndarray]) -> FeaturizedTrace:
-        # behaviour is scaled in place and each target replaced in its dict, so no trace
-        # keeps its unscaled arrays beside the scaled ones
+    def featurize(table: SessionTable, behaviour: np.ndarray,
+                  targets: dict[str, np.ndarray]) -> list[FeaturizedTrace]:
+        # behaviour is scaled in place and each target replaced in its dict, so that
+        # no unscaled array is kept beside the scaled one
         for j, name in enumerate(BEHAVIOUR_FIELDS):
             behaviour[:, j] = apply_scaler(scaler, name, behaviour[:, j])
-        env_idx = np.asarray(
-            [
-                (
-                    vocabs.hour.encode(s.env.hour_of_day),
-                    vocabs.weekday.encode(s.env.day_of_week),
-                    vocabs.yearday.encode(s.env.day_of_year),
-                    vocabs.region.encode(s.env.region),
-                )
-                for s in trace.sessions
-            ],
-            dtype=np.int64,
-        )
+        context = dict(zip(ENV_FIELDS, (*env_stamp(table.start_utc), table.region)))
+        env_idx = np.stack([getattr(vocabs, field).codes(context[field])
+                            for field in ENV_FIELDS], axis=1)
         for name, field in TARGETS.items():
             if name != "ch":  # churn is a probability and stays unscaled
                 targets[field] = apply_scaler(scaler, name, targets[field])
         targets["absence"] *= targets["ab_mask"]  # masked entries carry no information
-        return FeaturizedTrace(
-            user_id=trace.user_id,
-            game_id=trace.game_id,
-            game_idx=vocabs.game.encode(trace.game_id),
-            behaviour=behaviour,
-            env_idx=env_idx,
-            **targets,
-        )
+        first = table.first_rows
+        bounds = table.offsets.tolist()
+        return [
+            FeaturizedTrace(
+                user_id=user, game_id=game, game_idx=game_idx,
+                behaviour=behaviour[a:b], env_idx=env_idx[a:b],
+                **{field: values[a:b] for field, values in targets.items()},
+            )
+            for user, game, game_idx, a, b in zip(
+                table.user_id[first].tolist(), table.game_id[first].tolist(),
+                vocabs.game.codes(table.game_id[first]).tolist(), bounds, bounds[1:])
+        ]
 
-    train = [featurize(t, *arrays) for t, arrays in zip(train_raw, train_arrays)]
-    test = [featurize(t, *raw_arrays(t)) for t in test_raw]
+    train = featurize(train_raw, behaviour_train, targets_train)
+    test = featurize(test_raw, *raw_arrays(test_raw))
     return DatasetSplit(
         train=train,
         test=test,
@@ -420,7 +452,7 @@ def build_dataset(
         split_seed=seed,
         ratio=ratio,
         thresholds=thresholds,
-        observation_end=float(observation_end),
+        observation_end=observation_end,
     )
 
 
@@ -440,30 +472,31 @@ def save_dataset(split: DatasetSplit, directory: str | Path) -> None:
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     for name, traces in (("train", split.train), ("test", split.test)):
-        rows = (row for chunk in csvio.chunks(traces, lambda ft: ft.length)
-                for row in _split_rows(chunk))
-        csvio.write_rows(directory / f"{name}.csv", _DATASET_COLUMNS, rows)
+        csvio.write_columns(directory / f"{name}.csv", _DATASET_COLUMNS, _split_columns(traces))
 
 
-def _split_rows(chunk: Sequence[FeaturizedTrace]) -> Iterator[tuple]:
-    """The CSV rows of some traces, built a column at a time."""
-    lengths = [ft.length for ft in chunk]
+def _split_columns(traces: Sequence[FeaturizedTrace]) -> list:
+    """The columns of a split CSV, in file order: each trace's arrays end to end."""
+    if not traces:
+        return [[]] * len(_DATASET_COLUMNS)
+    lengths = [ft.length for ft in traces]
 
-    def per_step(values: Iterable) -> list:  # each trace's value, once per step
-        return np.repeat(np.array(list(values), dtype=object), lengths).tolist()
+    def per_step(values: list) -> np.ndarray:  # each trace's value, once per step
+        return np.repeat(np.asarray(values), lengths)
 
-    def stacked(field: str) -> list:  # the columns of the traces' arrays, end to end
-        return np.concatenate([getattr(ft, field) for ft in chunk]).T.tolist()
+    def stacked(field: str) -> np.ndarray:
+        return np.concatenate([getattr(ft, field) for ft in traces])
 
-    return zip(
-        per_step(ft.user_id for ft in chunk),
-        per_step(ft.game_id for ft in chunk),
-        [t for n in lengths for t in range(1, n + 1)],
-        *stacked("behaviour"),
-        *stacked("env_idx"),
-        per_step(ft.game_idx for ft in chunk),
+    first = np.cumsum(lengths) - lengths
+    return [
+        per_step([ft.user_id for ft in traces]),
+        per_step([ft.game_id for ft in traces]),
+        np.arange(sum(lengths)) + 1 - per_step(first),
+        *stacked("behaviour").T,
+        *stacked("env_idx").T,
+        per_step([ft.game_idx for ft in traces]),
         *(stacked(field) for field in (*TARGETS.values(), "ab_mask")),
-    )
+    ]
 
 
 def _load_traces(path: Path) -> list[FeaturizedTrace]:

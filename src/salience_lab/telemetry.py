@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +35,7 @@ _CSV_KINDS = {
     "region": str,
 }
 CSV_COLUMNS = tuple(_CSV_KINDS)
+_INT_COLUMNS = tuple(name for name, kind in _CSV_KINDS.items() if kind is int)
 
 #: The Gregorian calendar repeats every 400 years, 146097 days, a whole number of weeks.
 _MINUTES_PER_400_YEARS = 146097 * MINUTES_PER_DAY
@@ -58,6 +58,8 @@ class GameSpec:
     def validate(self) -> None:
         if not self.game_id:
             raise TelemetryError("GameSpec.game_id must be non-empty")
+        if "\x00" in self.game_id:
+            raise TelemetryError(f"GameSpec.game_id must not hold NUL, got {self.game_id!r}")
         if not 0.0 <= self.base_quality <= 1.0:
             raise TelemetryError(
                 f"GameSpec.base_quality must lie in [0, 1], got {self.base_quality}"
@@ -97,70 +99,166 @@ class LatentPlayerState:
             )
 
 
-@dataclass(frozen=True)
-class EnvStamp:
-    """Calendar context of a session start (UTC, proleptic Gregorian)."""
-
-    hour_of_day: int
-    day_of_week: int  # 0 = Monday
-    day_of_year: int  # 1..366
-    region: str
+#: Row columns a SessionTable may hold beside the CSV's: the simulator's latent
+#: salience after each session and the reward that moved it there.
+LATENT_COLUMNS = ("salience", "reward")
 
 
-@dataclass(frozen=True)
-class SessionRecord:
-    user_id: str
-    game_id: str
-    start_utc: int  # epoch-minutes
-    session_time: float  # minutes
-    play_time: float  # minutes
-    delta_session: float  # minutes since previous session end; 0 for the first
-    activity_index: int
-    activity_diversity: int
-    env: EnvStamp
+@dataclass(frozen=True, eq=False)
+class SessionTable:
+    """The sessions of many (user, game) traces, held as columns.
 
+    The row columns are those of the telemetry CSV (CSV_COLUMNS), with
+    start_utc as int64 epoch-minutes, and optionally the LATENT_COLUMNS (None
+    for ingested telemetry).  Trace i is rows offsets[i]:offsets[i + 1], in
+    start order; completed[i] says whether it ended by completing its game.
+    Iterating the table, or indexing it, gives PlayerTrace views.
+    """
 
-@dataclass
-class PlayerTrace:
-    """Ordered session history for one (user, game) pair."""
+    user_id: np.ndarray
+    game_id: np.ndarray
+    start_utc: np.ndarray
+    session_time: np.ndarray
+    play_time: np.ndarray
+    delta_session: np.ndarray
+    activity_index: np.ndarray
+    activity_diversity: np.ndarray
+    region: np.ndarray
+    offsets: np.ndarray
+    completed: np.ndarray
+    salience: Optional[np.ndarray] = None
+    reward: Optional[np.ndarray] = None
 
-    user_id: str
-    game_id: str
-    sessions: list[SessionRecord]
-    total_play_time: float
-    total_sessions: int
-    completed: bool
-    latent_trace: Optional[list[tuple[float, float]]] = None  # (salience, reward) per session
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, index: int) -> "PlayerTrace":
+        return PlayerTrace(self, range(len(self))[index])
+
+    def __iter__(self) -> Iterator["PlayerTrace"]:
+        return (PlayerTrace(self, i) for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SessionTable):
+            return NotImplemented
+        return all(
+            (a is None and b is None) or (a is not None and b is not None and np.array_equal(a, b))
+            for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        )
+
+    @property
+    def first_rows(self) -> np.ndarray:
+        """The row index of each trace's first session."""
+        return self.offsets[:-1]
+
+    @property
+    def last_rows(self) -> np.ndarray:
+        """The row index of each trace's last session."""
+        return self.offsets[1:] - 1
+
+    def take(self, traces: Sequence[int] | np.ndarray) -> "SessionTable":
+        """A table of the given traces, in the given order."""
+        traces = np.asarray(traces, dtype=np.int64)
+        lengths = np.diff(self.offsets)[traces]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[traces] - offsets[:-1], lengths)
+        return SessionTable(
+            **{name: None if (column := getattr(self, name)) is None else column[rows]
+               for name in CSV_COLUMNS + LATENT_COLUMNS},
+            offsets=offsets, completed=self.completed[traces])
 
     def validate(self) -> None:
-        if self.total_sessions != len(self.sessions):
-            raise TelemetryError(
-                f"trace {self.user_id}: total_sessions {self.total_sessions} "
-                f"!= session count {len(self.sessions)}"
-            )
-        starts = [s.start_utc for s in self.sessions]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise TelemetryError(f"trace {self.user_id}: session starts not strictly increasing")
-        played = sum(s.play_time for s in self.sessions)
-        if abs(played - self.total_play_time) > 1e-6:
-            raise TelemetryError(
-                f"trace {self.user_id}: total_play_time {self.total_play_time} != sum {played}"
-            )
-        for s in self.sessions:
-            if s.play_time > s.session_time:
-                raise TelemetryError(f"trace {self.user_id}: play_time exceeds session_time")
-            if s.activity_diversity > s.activity_index:
-                raise TelemetryError(f"trace {self.user_id}: diversity exceeds activity count")
+        """Check the table's shape and each session's invariants, with array operations."""
+        n = len(self.user_id)
+        lengths = np.diff(self.offsets)
+        if self.offsets[0] != 0 or self.offsets[-1] != n or (lengths < 1).any():
+            raise TelemetryError("SessionTable offsets must run from 0 to the row count "
+                                 "and give every trace a session")
+        latent = [name for name in LATENT_COLUMNS if getattr(self, name) is not None]
+        if any(len(getattr(self, name)) != n for name in CSV_COLUMNS + tuple(latent)) \
+                or len(self.completed) != len(self):
+            raise TelemetryError("SessionTable columns must have one entry per row "
+                                 "and completed one per trace")
+        first = np.repeat(self.first_rows, lengths)
+        later = np.arange(n) != first  # rows after their trace's first
+        for bad, problem in (
+            ((self.user_id != self.user_id[first]) | (self.game_id != self.game_id[first]),
+             "rows of one trace name another user or game"),
+            (later & (self.start_utc <= np.r_[self.start_utc[:1], self.start_utc[:-1]]),
+             "session starts not strictly increasing"),
+            (self.play_time > self.session_time, "play_time exceeds session_time"),
+            (self.activity_diversity > self.activity_index, "diversity exceeds activity count"),
+        ):
+            if bad.any():
+                raise TelemetryError(f"trace {self.user_id[first[np.argmax(bad)]]}: {problem}")
 
 
-def env_stamp(start_utc: int, region: str) -> EnvStamp:
-    """Calendar stamp for an epoch-minute timestamp (UTC civil calendar)."""
-    if start_utc < 0:
-        raise TelemetryError(f"start_utc must be >= 0, got {start_utc}")
-    # reduced to one 400-year cycle, so that any int64 minute has a time_t stamp
-    moment = time.gmtime(60 * (start_utc % _MINUTES_PER_400_YEARS))
-    return EnvStamp(hour_of_day=moment.tm_hour, day_of_week=moment.tm_wday,
-                    day_of_year=moment.tm_yday, region=region)
+@dataclass(frozen=True)
+class PlayerTrace:
+    """One (user, game) trace of a SessionTable, viewed in place.
+
+    Each row column of the table (start_utc, session_time, ..., and salience
+    and reward where the table holds them) reads as this trace's slice of it.
+    """
+
+    table: SessionTable
+    index: int
+
+    @property
+    def rows(self) -> slice:
+        start, stop = self.table.offsets[self.index:self.index + 2].tolist()
+        return slice(start, stop)
+
+    @property
+    def user_id(self) -> str:
+        return str(self.table.user_id[self.table.offsets[self.index]])
+
+    @property
+    def game_id(self) -> str:
+        return str(self.table.game_id[self.table.offsets[self.index]])
+
+    @property
+    def completed(self) -> bool:
+        return bool(self.table.completed[self.index])
+
+    @property
+    def total_sessions(self) -> int:
+        return int(self.table.offsets[self.index + 1] - self.table.offsets[self.index])
+
+    def __getattr__(self, name: str):
+        if name not in CSV_COLUMNS + LATENT_COLUMNS:
+            raise AttributeError(f"PlayerTrace has no attribute {name!r}")
+        column = getattr(self.table, name)
+        return None if column is None else column[self.rows]
+
+
+def env_stamp(start_utc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hour (0-23), weekday (0 = Monday) and day of the year (1-366) of epoch-minutes.
+
+    The calendar is the proleptic Gregorian one, in UTC, computed with int64
+    arithmetic.  Each minute is first reduced to one 400-year cycle (146097
+    days, a whole number of weeks), so any non-negative int64 minute has a
+    stamp; the day is then split into year of era and day of year by the era
+    arithmetic of H. Hinnant's civil_from_days.
+    """
+    start = np.asarray(start_utc, dtype=np.int64)
+    if (start < 0).any():
+        raise TelemetryError(f"start_utc must be >= 0, got {start[np.argmax(start < 0)]}")
+    minute = start % _MINUTES_PER_400_YEARS
+    day = minute // MINUTES_PER_DAY  # days after 1970-01-01, within the cycle
+    hour = minute % MINUTES_PER_DAY // 60
+    weekday = (day + 3) % 7  # 1970-01-01 was a Thursday
+    # Eras of 400 years start on 0000-03-01, 719468 days before 1970-01-01, so that
+    # the leap day ends each year of era.
+    day_of_era = (day + 719468) % 146097
+    year_of_era = (day_of_era - day_of_era // 1460 + day_of_era // 36524
+                   - day_of_era // 146096) // 365
+    from_march = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
+    # March to December follow the January and February of the civil year year_of_era;
+    # January and February (from_march >= 306) open the next civil year.
+    leap = (year_of_era % 4 == 0) & ((year_of_era % 100 != 0) | (year_of_era == 0))
+    yearday = np.where(from_march >= 306, from_march - 305, from_march + 60 + leap)
+    return hour, weekday, yearday
 
 
 def _sigmoid(x: float) -> float:
@@ -170,22 +268,23 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _env_penalty(env: EnvStamp, susceptibility: float) -> float:
-    # Weekday working hours interfere with play; weekends do not.
-    if env.day_of_week <= 4 and 9 <= env.hour_of_day <= 17:
+def _env_penalty(start_utc: int, susceptibility: float) -> float:
+    # Weekday working hours interfere with play; weekends do not.  1970-01-01 was a Thursday.
+    weekday = (start_utc // MINUTES_PER_DAY + 3) % 7
+    hour = start_utc % MINUTES_PER_DAY // 60
+    if weekday <= 4 and 9 <= hour <= 17:
         return 0.5 * susceptibility
     return 0.0
 
 
-def simulate_player(
-    spec: GameSpec,
-    init: LatentPlayerState,
-    calendar_start: int,
-    horizon_days: int,
-    user_id: str = "u0",
-    region: str = "eu",
-) -> PlayerTrace:
-    """Simulate one player's trace under the salience delta rule.
+#: The row columns the simulator draws, in SessionTable field names.
+_SIMULATED = ("start_utc", "session_time", "play_time", "delta_session", "activity_index",
+              "activity_diversity") + LATENT_COLUMNS
+
+
+def _simulate_sessions(spec: GameSpec, init: LatentPlayerState, calendar_start: int,
+                       horizon_days: int, rows: dict[str, list]) -> bool:
+    """Append one player's sessions to the lists in rows; True if the game was completed.
 
     Session intensity grows with the salience attributed so far; the gap to
     the next session shrinks with it.  After each session the reward
@@ -202,17 +301,13 @@ def simulate_player(
     rng = np.random.default_rng(init.rng_seed)
     horizon_end = calendar_start + horizon_days * MINUTES_PER_DAY
     salience = float(init.salience)
-
-    sessions: list[SessionRecord] = []
-    latent: list[tuple[float, float]] = []
+    (starts, session_times, play_times, deltas, counts, diversities, saliences,
+     rewards) = (rows[name] for name in _SIMULATED)
     start = int(calendar_start)
     prev_end: Optional[float] = None
-    completed = False
     t = 0
     while True:
         t += 1
-        env = env_stamp(start, region)
-
         # Intensity is driven by the salience attributed before this session.
         session_time = (10.0 + 110.0 * _sigmoid(4.0 * (salience - 0.5))) * float(
             np.exp(rng.normal(0.0, 0.25))
@@ -220,53 +315,69 @@ def simulate_player(
         play_time = session_time * float(rng.uniform(0.55, 0.95))
         activity_index = 1 + int(rng.poisson(0.2 * play_time * (0.5 + salience)))
         activity_diversity = 1 + int(rng.binomial(activity_index - 1, 0.3))
-        delta = 0.0 if prev_end is None else float(start - prev_end)
-        sessions.append(
-            SessionRecord(
-                user_id=user_id,
-                game_id=spec.game_id,
-                start_utc=start,
-                session_time=session_time,
-                play_time=play_time,
-                delta_session=delta,
-                activity_index=activity_index,
-                activity_diversity=activity_diversity,
-                env=env,
-            )
-        )
+        starts.append(start)
+        session_times.append(session_time)
+        play_times.append(play_time)
+        deltas.append(0.0 if prev_end is None else float(start - prev_end))
+        counts.append(activity_index)
+        diversities.append(activity_diversity)
 
         quality = min(1.0, max(0.0, spec.base_quality + spec.quality_drift * (t - 1)))
-        reward = quality - _env_penalty(env, init.env_susceptibility)
+        reward = quality - _env_penalty(start, init.env_susceptibility)
         if spec.noise_sd > 0.0:
             reward += float(rng.normal(0.0, spec.noise_sd))
         reward = min(1.0, max(0.0, reward))
         salience = (1.0 - init.learning_rate) * salience + init.learning_rate * reward
-        latent.append((salience, reward))
+        saliences.append(salience)
+        rewards.append(reward)
 
         end = start + session_time
         if spec.completion_sessions is not None and t >= spec.completion_sessions:
-            completed = True
-            break
+            return True
         if salience < init.churn_threshold:
-            break
+            return False
         gap = 30.0 * math.exp(3.0 * (1.0 - salience)) * float(np.exp(rng.normal(0.0, 0.3)))
         nxt = int(math.ceil(end + gap))
         if nxt >= horizon_end:
-            break
+            return False
         prev_end = end
         start = nxt
 
-    trace = PlayerTrace(
-        user_id=user_id,
-        game_id=spec.game_id,
-        sessions=sessions,
-        total_play_time=sum(s.play_time for s in sessions),
-        total_sessions=len(sessions),
-        completed=completed,
-        latent_trace=latent,
+
+def _simulated_table(users: list[str], games: list[str], regions: list[str],
+                     lengths: list[int], completed: list[bool],
+                     rows: dict[str, list]) -> SessionTable:
+    """The table of simulated traces: per-trace ids and flags, and the drawn row lists."""
+    table = SessionTable(
+        user_id=np.repeat(np.array(users, dtype=str), lengths),
+        game_id=np.repeat(np.array(games, dtype=str), lengths),
+        region=np.repeat(np.array(regions, dtype=str), lengths),
+        offsets=np.concatenate(([0], np.cumsum(lengths))).astype(np.int64),
+        completed=np.array(completed, dtype=bool),
+        **{name: np.array(rows[name], dtype=np.int64 if name in _INT_COLUMNS else np.float64)
+           for name in _SIMULATED},
     )
-    trace.validate()
-    return trace
+    table.validate()
+    return table
+
+
+def simulate_player(
+    spec: GameSpec,
+    init: LatentPlayerState,
+    calendar_start: int,
+    horizon_days: int,
+    user_id: str = "u0",
+    region: str = "eu",
+) -> PlayerTrace:
+    """Simulate one player's trace under the salience delta rule (see _simulate_sessions).
+
+    The trace is the only one of its table, so trace.table holds just its sessions.
+    """
+    rows: dict[str, list] = {name: [] for name in _SIMULATED}
+    completed = _simulate_sessions(spec, init, calendar_start, horizon_days, rows)
+    table = _simulated_table([user_id], [spec.game_id], [region], [len(rows["start_utc"])],
+                             [completed], rows)
+    return table[0]
 
 
 @dataclass(frozen=True)
@@ -287,16 +398,21 @@ def simulate_population(
     horizon_days: int,
     seed: int,
     population: PopulationSpec = PopulationSpec(),
-) -> list[PlayerTrace]:
+) -> SessionTable:
     """Simulate `players_per_game` players for every game, deterministically.
 
     Player draws derive from (seed, player index), so no player's trace
-    depends on another's; the result list is ordered by player index.  All
-    players share one calendar start so the observation window ends at the
-    same moment for everyone (the gaps decorrelate session phases quickly).
+    depends on another's; the table holds the traces in player order, which
+    is user order for fewer than a million players.  All players share one
+    calendar start so the observation window ends at the same moment for
+    everyone (the gaps decorrelate session phases quickly).
     """
-
-    def one_player(idx: int, spec: GameSpec) -> PlayerTrace:
+    for region in population.regions:
+        if "\x00" in region:
+            raise TelemetryError(f"PopulationSpec.regions must not hold NUL, got {region!r}")
+    rows: dict[str, list] = {name: [] for name in _SIMULATED}
+    users, game_ids, regions, lengths, completed = [], [], [], [], []
+    for idx, spec in enumerate(spec for spec in games for _ in range(players_per_game)):
         draw = np.random.default_rng(np.random.SeedSequence((seed, idx)))
         init = LatentPlayerState(
             salience=float(draw.uniform(*population.salience_range)),
@@ -305,35 +421,30 @@ def simulate_population(
             churn_threshold=float(draw.uniform(*population.churn_threshold_range)),
             rng_seed=int(draw.integers(0, 2**31 - 1)),
         )
-        region = population.regions[int(draw.integers(0, len(population.regions)))]
-        return simulate_player(
-            spec, init, calendar_start, horizon_days, user_id=f"u{idx:06d}", region=region
-        )
-
-    return [
-        one_player(idx, spec)
-        for idx, spec in enumerate(spec for spec in games for _ in range(players_per_game))
-    ]
+        regions.append(population.regions[int(draw.integers(0, len(population.regions)))])
+        before = len(rows["start_utc"])
+        completed.append(_simulate_sessions(spec, init, calendar_start, horizon_days, rows))
+        lengths.append(len(rows["start_utc"]) - before)
+        users.append(f"u{idx:06d}")
+        game_ids.append(spec.game_id)
+    return _simulated_table(users, game_ids, regions, lengths, completed, rows)
 
 
-def write_csv(traces: Iterable[PlayerTrace], path: str | Path) -> None:
-    """Write traces to the telemetry CSV format (latent trace excluded)."""
-    rows = (  # minutes as floats, so that csv.writer writes their repr
-        (s.user_id, s.game_id, s.start_utc, float(s.session_time), float(s.play_time),
-         float(s.delta_session), s.activity_index, s.activity_diversity, s.env.region)
-        for trace in traces for s in trace.sessions
-    )
-    csvio.write_rows(Path(path), CSV_COLUMNS, rows)
+def write_csv(traces: SessionTable, path: str | Path) -> None:
+    """Write a table's sessions to the telemetry CSV format (latent columns excluded)."""
+    csvio.write_columns(Path(path), CSV_COLUMNS, [getattr(traces, name) for name in CSV_COLUMNS])
 
 
-def write_latent_csv(traces: Iterable[PlayerTrace], path: str | Path) -> None:
-    """Write the optional latent sidecar: user_id,session_index,salience,reward."""
-    rows = (
-        (trace.user_id, i, float(salience), float(reward))
-        for trace in traces if trace.latent_trace is not None
-        for i, (salience, reward) in enumerate(trace.latent_trace, start=1)
-    )
-    csvio.write_rows(Path(path), ("user_id", "session_index", "salience", "reward"), rows)
+def write_latent_csv(traces: SessionTable, path: str | Path) -> None:
+    """Write the latent sidecar: user_id,session_index,salience,reward (header only without)."""
+    header = ("user_id", "session_index", "salience", "reward")
+    if traces.salience is None:
+        csvio.write_columns(Path(path), header, [[]] * len(header))
+        return
+    session_index = np.arange(len(traces.user_id)) + 1 - np.repeat(traces.first_rows,
+                                                                  np.diff(traces.offsets))
+    csvio.write_columns(Path(path), header,
+                        [traces.user_id, session_index, traces.salience, traces.reward])
 
 
 def read_latent_csv(path: str | Path) -> dict[str, list[tuple[float, float]]]:
@@ -347,22 +458,25 @@ def read_latent_csv(path: str | Path) -> dict[str, list[tuple[float, float]]]:
     return out
 
 
-def ingest_csv(path: str | Path) -> list[PlayerTrace]:
-    """Ingest telemetry CSV into traces grouped by (user_id, game_id).
+def ingest_csv(path: str | Path) -> SessionTable:
+    """Ingest telemetry CSV into a table of traces, one per (user_id, game_id).
 
-    Rows are sorted by start_utc within each pair and delta_session is
-    recomputed end-to-start from the timestamps.  Traces come back ordered by
-    (user_id, game_id).  An error names the first bad data line, or the first
-    (user, game) pair whose sessions repeat a start or overlap.
+    Rows are sorted by (user_id, game_id, start_utc) and delta_session is
+    recomputed end-to-start from the timestamps; no trace is marked completed.
+    An error names the first bad data line, or the first (user, game) pair
+    whose sessions repeat a start or overlap.
     """
     path = Path(path)
     columns = csvio.read_columns(path, _CSV_KINDS, TelemetryError)
     user, game, start = columns["user_id"], columns["game_id"], columns["start_utc"]
-    session, play = columns["session_time"], columns["play_time"]
+    session, play, delta = columns["session_time"], columns["play_time"], columns["delta_session"]
     count, diversity = columns["activity_index"], columns["activity_diversity"]
     row_checks = (  # in the order each row is checked
         ((user == "") | (game == ""), "empty user_id or game_id"),
-        ((session < 0) | (play < 0) | (columns["delta_session"] < 0), "negative duration"),
+        (~(np.isfinite(session) & np.isfinite(play) & np.isfinite(delta)),
+         "non-finite duration"),
+        ((session < 0) | (play < 0) | (delta < 0), "negative duration"),
+        (start < 0, "negative start_utc"),
         (play > session, "play_time exceeds session_time"),
         ((count < 0) | (diversity < 0) | (diversity > count), "inconsistent activity counts"),
     )
@@ -372,41 +486,22 @@ def ingest_csv(path: str | Path) -> list[PlayerTrace]:
         reason = next(reason for mask, reason in row_checks if mask[row])
         raise TelemetryError(f"line {row + 2}: {reason}")
 
-    if not user.size:
-        return []
+    n = len(user)
     order = np.lexsort((start, game, user))
-    user, game, start, session = user[order], game[order], start[order], session[order]
+    columns = {name: column[order] for name, column in columns.items()}
+    user, game, start, session = (columns[name] for name in
+                                  ("user_id", "game_id", "start_utc", "session_time"))
     same = (user[1:] == user[:-1]) & (game[1:] == game[:-1])  # row i + 1 continues row i's pair
     gap = start[1:] - (start[:-1] + session[:-1])
     pair = np.cumsum(np.r_[0, ~same])
     repeated, overlapping = pair[1:][same & (start[1:] == start[:-1])], pair[1:][same & (gap < 0)]
     if repeated.size or overlapping.size:
-        first = min(repeated.min(initial=len(order)), overlapping.min(initial=len(order)))
+        first = min(repeated.min(initial=n), overlapping.min(initial=n))
         problem = ("non-monotone session timestamps" if first in repeated
                    else "overlapping sessions")
         raise TelemetryError(f"user {user[np.searchsorted(pair, first)]}: {problem}")
 
-    delta = np.r_[0.0, np.where(same, gap, 0.0)]
-    play_list = play[order].tolist()
-    sessions = [
-        SessionRecord(user_id=u, game_id=g, start_utc=t, session_time=st, play_time=pt,
-                      delta_session=d, activity_index=ai, activity_diversity=ad,
-                      env=env_stamp(t, region))
-        for u, g, t, st, pt, d, ai, ad, region in zip(
-            user.tolist(), game.tolist(), start.tolist(), session.tolist(), play_list,
-            delta.tolist(), count[order].tolist(), diversity[order].tolist(),
-            columns["region"][order].tolist())
-    ]
-    bounds = np.append(np.flatnonzero(np.r_[True, ~same]), len(order)).tolist()
-    return [
-        PlayerTrace(
-            user_id=sessions[a].user_id,
-            game_id=sessions[a].game_id,
-            sessions=sessions[a:b],
-            total_play_time=sum(play_list[a:b]),
-            total_sessions=b - a,
-            completed=False,
-            latent_trace=None,
-        )
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    columns["delta_session"] = np.r_[0.0, np.where(same, gap, 0.0)][:n]
+    first_rows = np.flatnonzero(np.r_[True, ~same])[:n]
+    return SessionTable(**columns, offsets=np.append(first_rows, n).astype(np.int64),
+                        completed=np.zeros(len(first_rows), dtype=bool))

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import ACCEPTANCE_LINES
-from salience_lab.telemetry import GameSpec, PlayerTrace, simulate_population
+from salience_lab.telemetry import GameSpec, SessionTable, simulate_population
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -14,7 +14,7 @@ def pytest_sessionfinish(session, exitstatus):
 
 
 @pytest.fixture(scope="session")
-def small_population() -> list[PlayerTrace]:
+def small_population() -> SessionTable:
     games = [
         GameSpec("alpha", base_quality=0.85, quality_drift=-0.004, completion_sessions=30),
         GameSpec("beta", base_quality=0.55, quality_drift=-0.004, completion_sessions=35),

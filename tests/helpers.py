@@ -1,5 +1,5 @@
-"""Trace builders, ids that need CSV quoting, a deadline, a relative error and the
-acceptance verdict log shared by the test modules.
+"""Trace builders and a table joiner, ids that need CSV quoting, a deadline, a
+relative error and the acceptance verdict log shared by the test modules.
 
 Test modules import these by name; conftest.py keeps only pytest hooks and
 fixtures, so two conftest.py files on the import path never shadow each other.
@@ -12,7 +12,7 @@ import signal
 
 import numpy as np
 
-from salience_lab.telemetry import PlayerTrace, SessionRecord, env_stamp
+from salience_lab.telemetry import CSV_COLUMNS, LATENT_COLUMNS, SessionTable
 
 #: Verdict lines recorded by the acceptance suite; conftest.py echoes them
 #: after the run so they stay visible without -s.
@@ -32,40 +32,43 @@ def make_trace(
     play_times: list[float] | None = None,
     completed: bool = False,
     region: str = "eu",
-) -> PlayerTrace:
-    """Hand-built trace with deltas derived end-to-start from the timestamps."""
+) -> SessionTable:
+    """Hand-built one-trace table with deltas derived end-to-start from the timestamps."""
     play_times = play_times or [s * 0.8 for s in session_times]
-    sessions = []
-    prev_end = None
-    for i, (start, st, pt) in enumerate(zip(starts, session_times, play_times)):
-        delta = 0.0 if prev_end is None else float(start - prev_end)
-        sessions.append(
-            SessionRecord(
-                user_id=user_id,
-                game_id=game_id,
-                start_utc=start,
-                session_time=st,
-                play_time=pt,
-                delta_session=delta,
-                activity_index=5 + i,
-                activity_diversity=2,
-                env=env_stamp(start, region),
-            )
-        )
-        prev_end = start + st
-    return PlayerTrace(
-        user_id=user_id,
-        game_id=game_id,
-        sessions=sessions,
-        total_play_time=sum(play_times),
-        total_sessions=len(sessions),
-        completed=completed,
-        latent_trace=None,
+    n = len(starts)
+    deltas = [0.0] + [float(start - (prev + st))
+                      for prev, st, start in zip(starts, session_times, starts[1:])]
+    return SessionTable(
+        user_id=np.full(n, user_id),
+        game_id=np.full(n, game_id),
+        start_utc=np.asarray(starts, dtype=np.int64),
+        session_time=np.asarray(session_times, dtype=np.float64),
+        play_time=np.asarray(play_times, dtype=np.float64),
+        delta_session=np.asarray(deltas),
+        activity_index=np.arange(5, 5 + n),
+        activity_diversity=np.full(n, 2),
+        region=np.full(n, region),
+        offsets=np.array([0, n]),
+        completed=np.array([completed]),
     )
 
 
-def random_trace(rng: np.random.Generator, user_id: str, game_id: str = "g") -> PlayerTrace:
-    """Random but invariant-respecting trace for oracle sweeps."""
+def join(tables) -> SessionTable:
+    """One table holding the traces of the given tables, in order."""
+    tables = list(tables)
+    lengths = np.concatenate([np.diff(t.offsets) for t in tables])
+    latent = {name: None if any(getattr(t, name) is None for t in tables)
+              else np.concatenate([getattr(t, name) for t in tables]) for name in LATENT_COLUMNS}
+    return SessionTable(
+        **{name: np.concatenate([getattr(t, name) for t in tables]) for name in CSV_COLUMNS},
+        **latent,
+        offsets=np.concatenate(([0], np.cumsum(lengths))),
+        completed=np.concatenate([t.completed for t in tables]),
+    )
+
+
+def random_trace(rng: np.random.Generator, user_id: str, game_id: str = "g") -> SessionTable:
+    """Random but invariant-respecting one-trace table for oracle sweeps."""
     n = int(rng.integers(1, 12))
     starts = []
     session_times = []

@@ -282,17 +282,18 @@ def test_criterion_3_target_math_oracle():
     worst_thr = 0.0
     churn_mismatches = 0
     for i in range(1000):
-        trace = random_trace(rng, f"user{i}")
-        gaps = [s.delta_session for s in trace.sessions[1:]] or [float(rng.uniform(1, 50))]
+        table = random_trace(rng, f"user{i}")
+        (trace,) = table
+        gaps = trace.delta_session[1:].tolist() or [float(rng.uniform(1, 50))]
         q1, q3 = np.quantile(gaps, [0.25, 0.75])
         thr_ref = float(q3 + 1.5 * (q3 - q1))
         worst_thr = max(worst_thr, abs(inactivity_threshold(gaps) - thr_ref))
 
-        last_end = trace.sessions[-1].start_utc + trace.sessions[-1].session_time
+        last_end = int(trace.start_utc[-1]) + float(trace.session_time[-1])
         observation_end = last_end + float(rng.uniform(0.0, 3.0 * thr_ref + 10.0))
-        targets = compute_targets(trace, thr_ref, observation_end)
+        targets = compute_targets(table, thr_ref, observation_end)
 
-        total = sum(s.play_time for s in trace.sessions)
+        total = sum(trace.play_time.tolist())
         inactive = observation_end - last_end
         if trace.completed:
             ch_ref = 0.0
@@ -301,7 +302,7 @@ def test_criterion_3_target_math_oracle():
         else:
             ch_ref = 0.5
         for t in range(1, trace.total_sessions + 1):
-            played = sum(s.play_time for s in trace.sessions[:t])
+            played = sum(trace.play_time[:t].tolist())
             worst_st = max(worst_st, abs(targets["survival_time"][t - 1] - (total - played)))
             if targets["survival_sessions"][t - 1] != trace.total_sessions - t:
                 churn_mismatches += 1
@@ -325,7 +326,7 @@ def test_criterion_4_no_leakage_and_monotone_targets(benchmark_runs):
     split = benchmark_runs[0]["split"]
     traces = benchmark_runs[0]["traces"]
     train_users = {t.user_id for t in split.train}
-    train_only = [t for t in traces if t.user_id in train_users]
+    train_only = traces.take([i for i, t in enumerate(traces) if t.user_id in train_users])
     reduced = build_dataset(train_only, ratio=0.999999, seed=0,
                             observation_end=split.observation_end)
     identical = (reduced.scaler == split.scaler) and (reduced.vocabs == split.vocabs)
@@ -366,7 +367,7 @@ def test_criterion_5_salience_recovery(benchmark_runs):
     ok = True
     for seed in SEEDS:
         run = benchmark_runs[seed]
-        true_salience = {t.user_id: t.latent_trace[-1][0] for t in run["traces"]}
+        true_salience = {t.user_id: float(t.salience[-1]) for t in run["traces"]}
         pred = _mean_predicted_ss(run["melchior"], run["split"].test)
         users = sorted(pred)
         rho_pred = spearman([true_salience[u] for u in users], [pred[u] for u in users])

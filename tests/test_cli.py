@@ -157,6 +157,32 @@ def test_every_pipeline_output_is_pinned(tmp_path):
     assert _digests(tmp_path, written) == _PINNED_OUTPUTS
 
 
+#: sha256 of what simulate and featurize write on smoke.json at seed 0 with many short
+#: traces, shaped like the wide-population benchmark: 200 players per game over 2 days,
+#: the completing game completed after 10 sessions.
+_MANY_SHORT_TRACES = {
+    "telemetry.csv": "0954d2816ecb21385c8a7879ad5eb89707670358488f471d4cbd69b16bb7564e",
+    "telemetry.latent.csv": "f23267b22361b5f07685ccefd1640d20561158a8009f36ebdd61655ed4dd884e",
+    "features/manifest.json": "4d2cacdb8a05dc0c2180917a9c70c41db8c23dac4e66d5530d3066186a991cb2",
+    "features/test.csv": "0bc186571049b8a5c1354115ea229e3832d71546322b183460fca9dd40048ed1",
+    "features/train.csv": "fdcd8a690f8e7198db2ee48c2487a2a40820cebabf8475ef8d8193b1c408f9e4",
+}
+
+
+def test_many_short_traces_are_pinned(tmp_path):
+    config = bundled_config("smoke")
+    config["simulate"].update(players_per_game=200, horizon_days=2)
+    for game in config["simulate"]["games"]:
+        if game["completion_sessions"] is not None:
+            game["completion_sessions"] = 10
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    for command in ("simulate", "featurize"):
+        assert main(["--config", str(path), "--out", str(out), command]) == 0
+    assert _digests(out, _MANY_SHORT_TRACES) == _MANY_SHORT_TRACES
+
+
 def test_unsupported_checkpoint_version_exits_2_with_an_error(pipeline_dir, tmp_path, capsys):
     out = tmp_path / "run"
     shutil.copytree(pipeline_dir, out)
@@ -326,6 +352,24 @@ def test_non_finite_config_number_fails_naming_it(tmp_path, capsys, override):
     assert main(argv) == 2
     key = override.split("=")[0]
     assert f"config field '{key}' must be a finite" in capsys.readouterr().err
+    assert not (tmp_path / "telemetry.csv").exists()
+
+
+@pytest.mark.parametrize("field, place", [
+    ("simulate.games[1].game_id", ("simulate", "games", 1, "game_id")),
+    ("simulate.population.regions[1]", ("simulate", "population", "regions", 1)),
+])
+def test_nul_in_a_config_string_fails_naming_it(tmp_path, capsys, field, place):
+    config = bundled_config("smoke")
+    *parents, key = place
+    node = config
+    for part in parents:
+        node = node[part]
+    node[key] += "\x00"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["--config", str(path), "--out", str(tmp_path), "simulate"]) == 2
+    assert f"config field '{field}' must not hold NUL" in capsys.readouterr().err
     assert not (tmp_path / "telemetry.csv").exists()
 
 

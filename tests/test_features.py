@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import re
+import time
 import warnings
 
 import numpy as np
@@ -13,10 +14,14 @@ from hypothesis import strategies as st
 from salience_lab import csvio
 from salience_lab.features import (
     BEHAVIOUR_FIELDS,
+    HOUR_VOCAB,
     TARGETS,
+    WEEKDAY_VOCAB,
+    YEARDAY_VOCAB,
     FeatureError,
     FeaturizedTrace,
     ScalerStats,
+    Vocabularies,
     build_dataset,
     build_vocab,
     churn_probability,
@@ -30,7 +35,7 @@ from salience_lab.features import (
     split_users,
     target_medians,
 )
-from helpers import ODD_IDS, make_trace, random_trace
+from helpers import ODD_IDS, join, make_trace, random_trace
 
 
 # -- inactivity threshold ----------------------------------------------------
@@ -83,7 +88,7 @@ def test_churn_uncertain_is_half():
 
 def test_targets_remaining_play_time():
     trace = make_trace("u", "g", [0, 100, 300], [10.0, 20.0, 5.0], [10.0, 15.0, 35.0])
-    targets = compute_targets(trace, threshold=1e9, observation_end=1e6)
+    targets = compute_targets(trace, thresholds=1e9, observation_end=1e6)
     assert targets["survival_time"][0] == pytest.approx(50.0)  # 60 total - 10 played
     assert targets["survival_time"][1] == pytest.approx(35.0)
     assert targets["survival_time"][2] == 0.0
@@ -118,19 +123,18 @@ def test_targets_absence_is_next_gap():
 def test_targets_brute_force_oracle():
     rng = np.random.default_rng(7)
     for i in range(1000):
-        trace = random_trace(rng, f"u{i}")
-        gaps = [s.delta_session for s in trace.sessions[1:]] or [1.0]
+        table = random_trace(rng, f"u{i}")
+        (trace,) = table
+        gaps = trace.delta_session[1:].tolist() or [1.0]
         q1, q3 = np.quantile(gaps, [0.25, 0.75])
         threshold = q3 + 1.5 * (q3 - q1)
-        observation_end = trace.sessions[-1].start_utc + trace.sessions[-1].session_time + float(
+        observation_end = int(trace.start_utc[-1]) + trace.session_time[-1] + float(
             rng.uniform(0.0, 3 * threshold + 10.0)
         )
-        targets = compute_targets(trace, threshold, observation_end)
+        targets = compute_targets(table, threshold, observation_end)
 
-        total = sum(s.play_time for s in trace.sessions)
-        inactive = observation_end - (
-            trace.sessions[-1].start_utc + trace.sessions[-1].session_time
-        )
+        total = sum(trace.play_time.tolist())
+        inactive = observation_end - (int(trace.start_utc[-1]) + trace.session_time[-1])
         if trace.completed:
             expected_ch = 0.0
         elif inactive >= threshold:
@@ -138,7 +142,7 @@ def test_targets_brute_force_oracle():
         else:
             expected_ch = 0.5
         for t in range(1, trace.total_sessions + 1):
-            played = sum(s.play_time for s in trace.sessions[:t])
+            played = sum(trace.play_time[:t].tolist())
             assert targets["survival_time"][t - 1] == pytest.approx(total - played, abs=1e-9)
             assert targets["survival_sessions"][t - 1] == trace.total_sessions - t
             assert targets["churn"][t - 1] == expected_ch
@@ -250,7 +254,8 @@ def small_population_module():
 def test_no_leakage_in_scaler_and_vocabs(small_population_module):
     full = build_dataset(small_population_module, ratio=0.8, seed=5)
     train_users = {t.user_id for t in full.train}
-    train_only = [t for t in small_population_module if t.user_id in train_users]
+    train_only = small_population_module.take(
+        [i for i, t in enumerate(small_population_module) if t.user_id in train_users])
     # Rebuild with the test users absent entirely; fitted statistics must not move.
     reduced = build_dataset(train_only, ratio=0.999999, seed=5,
                             observation_end=full.observation_end)
@@ -332,13 +337,24 @@ def test_round_trip_across_write_chunks(tmp_path, dataset):
 
 
 @pytest.mark.parametrize("limit", [1, 5, 7, 1000])
-def test_chunks_cover_the_items_in_order_and_close_at_the_limit(limit):
-    lengths = [3, 1, 4, 1, 5, 9, 2, 6]
-    chunks = list(csvio.chunks(lengths, lambda n: n, limit))
-    assert [n for chunk in chunks for n in chunk] == lengths
-    for chunk in chunks[:-1]:
-        assert sum(chunk) >= limit > sum(chunk[:-1])
-    assert sum(chunks[-1][:-1]) < limit
+def test_chunks_cover_the_items_in_order_and_close_at_the_limit(tmp_path, monkeypatch, limit):
+    # write_columns formats and writes BLOCK_ROWS rows at a time; whatever the block,
+    # the file holds the bytes csv.writer writes for the same rows
+    monkeypatch.setattr(csvio, "BLOCK_ROWS", limit)
+    rng = np.random.default_rng(limit)
+    n = 23
+    columns = [[ODD_IDS[i % len(ODD_IDS)] for i in range(n)], rng.integers(-9, 10**12, n),
+               rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n), [""] * n,
+               np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e16, 2**53 + 1.0] * 4)[:n]]
+    header = ["id", "count", "x", "empty", "special"]
+    csvio.write_columns(tmp_path / "ours.csv", header, columns)
+    with (tmp_path / "theirs.csv").open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "theirs.csv").read_bytes()
+    csvio.write_columns(tmp_path / "one.csv", ["id"], [["a", "", "b,c"]])
+    assert (tmp_path / "one.csv").read_bytes() == b'id\r\na\r\n""\r\n"b,c"\r\n'
 
 
 def test_header_only_split_loads_empty_without_warning(tmp_path, dataset):
@@ -452,4 +468,131 @@ def test_target_medians_equal_np_median_per_trace():
 
 def test_dataset_requires_traces():
     with pytest.raises(FeatureError):
-        build_dataset([])
+        build_dataset(make_trace("u", "g", [0], [1.0]).take([]))
+
+
+# -- columnar featurization against the per-trace reference ---------------------
+
+
+def _reference_build_dataset(traces, ratio, seed, observation_end=None):
+    """build_dataset one trace at a time, as it was before the columnar version.
+
+    Each trace's arrays come from its own sessions; the calendar comes from
+    time.gmtime; thresholds sort a Python list per game.
+    """
+    traces = list(traces)
+    if observation_end is None:
+        observation_end = max(int(t.start_utc[-1]) + float(t.session_time[-1]) for t in traces)
+    pools = {}
+    for t in traces:
+        pools.setdefault(t.game_id, []).extend(t.delta_session[1:].tolist())
+    thresholds = {game: inactivity_threshold(sorted(pools[game])) for game in sorted(pools)}
+    train_users, test_users = split_users([t.user_id for t in traces], ratio, seed)
+    train_raw = sorted((t for t in traces if t.user_id in train_users),
+                       key=lambda t: (t.user_id, t.game_id))
+    test_raw = sorted((t for t in traces if t.user_id in test_users),
+                      key=lambda t: (t.user_id, t.game_id))
+    vocabs = Vocabularies(
+        hour=HOUR_VOCAB, weekday=WEEKDAY_VOCAB, yearday=YEARDAY_VOCAB,
+        region=build_vocab(r for t in train_raw for r in t.region.tolist()),
+        game=build_vocab(t.game_id for t in train_raw))
+
+    def raw_arrays(t):
+        n = t.total_sessions
+        behaviour = np.asarray(list(zip(*(getattr(t, name).tolist()
+                                          for name in BEHAVIOUR_FIELDS))), dtype=np.float64)
+        play = np.asarray(t.play_time.tolist())
+        ab_mask = np.ones(n)
+        ab_mask[-1] = 0.0
+        inactive_for = max(0.0, observation_end - (int(t.start_utc[-1])
+                                                   + float(t.session_time[-1])))
+        return behaviour, {
+            "churn": np.full(n, churn_probability(t.completed, inactive_for,
+                                                  thresholds[t.game_id])),
+            "survival_time": np.append(np.cumsum(play[:0:-1])[::-1], 0.0),
+            "survival_sessions": np.arange(n - 1, -1, -1, dtype=np.float64),
+            "absence": np.asarray(t.delta_session[1:].tolist() + [0.0]),
+            "ab_mask": ab_mask,
+        }
+
+    train_arrays = [raw_arrays(t) for t in train_raw]
+    stacked = np.concatenate([b for b, _ in train_arrays])
+    columns = {name: stacked[:, j] for j, name in enumerate(BEHAVIOUR_FIELDS)}
+    for name, field in TARGETS.items():
+        if name != "ch":
+            values = np.concatenate([
+                tg[field][tg["ab_mask"] > 0] if name == "ab" else tg[field]
+                for _, tg in train_arrays])
+            columns[name] = values if values.size else np.zeros(1)
+    scaler = fit_scaler(columns)
+
+    def featurize(t, behaviour, targets):
+        for j, name in enumerate(BEHAVIOUR_FIELDS):
+            behaviour[:, j] = apply_scaler(scaler, name, behaviour[:, j])
+        env_idx = []
+        for start, region in zip(t.start_utc.tolist(), t.region.tolist()):
+            moment = time.gmtime(60 * (start % (146097 * 1440)))
+            env_idx.append((vocabs.hour.encode(moment.tm_hour),
+                            vocabs.weekday.encode(moment.tm_wday),
+                            vocabs.yearday.encode(moment.tm_yday), vocabs.region.encode(region)))
+        for name, field in TARGETS.items():
+            if name != "ch":
+                targets[field] = apply_scaler(scaler, name, targets[field])
+        targets["absence"] *= targets["ab_mask"]
+        return FeaturizedTrace(user_id=t.user_id, game_id=t.game_id,
+                               game_idx=vocabs.game.encode(t.game_id), behaviour=behaviour,
+                               env_idx=np.asarray(env_idx, dtype=np.int64), **targets)
+
+    return (
+        [featurize(t, *arrays) for t, arrays in zip(train_raw, train_arrays)],
+        [featurize(t, *raw_arrays(t)) for t in test_raw],
+        vocabs, scaler, thresholds, float(observation_end),
+    )
+
+
+def _assert_same_split(split, reference):
+    train, test, vocabs, scaler, thresholds, observation_end = reference
+    assert (split.vocabs, split.scaler, split.thresholds, split.observation_end) == (
+        vocabs, scaler, thresholds, observation_end)
+    for ours, theirs in ((split.train, train), (split.test, test)):
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            assert (a.user_id, a.game_id, a.game_idx) == (b.user_id, b.game_id, b.game_idx)
+            for field in ("behaviour", "env_idx", "ab_mask", *TARGETS.values()):
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.dtype == y.dtype and x.shape == y.shape, field
+                assert np.array_equal(x, y) and x.tobytes() == y.tobytes(), field
+
+
+def _awkward_table():
+    """Length-1 traces, a user in two games, tied gaps and play times, odd ids and big
+    starts, joined out of (user, game) order."""
+    rng = np.random.default_rng(3)
+    tables = [
+        make_trace("u9", "beta", [5000], [12.0]),
+        make_trace("u1", "beta", [0, 100, 200, 300], [10.0] * 4, [8.0] * 4, completed=True),
+        make_trace("u1", "alpha", [50, 150, 250], [10.0] * 3, [8.0] * 3, region="na"),
+        make_trace("u0", "alpha", [7], [3.0], region="jp"),
+        make_trace("u5", "alpha", [2**53 + 1, 2**53 + 500, 2**60], [30.0, 1.0, 9.5]),
+        make_trace(ODD_IDS[0], ODD_IDS[1], [10, 90, 90 + 1440 * 200], [20.0, 5.0, 7.0],
+                   region=ODD_IDS[2]),
+        make_trace("u1", ODD_IDS[1], [1_000_000, 1_000_060], [50.0, 10.0]),
+    ]
+    tables += [random_trace(rng, f"r{i}", game_id=("alpha", "beta", ODD_IDS[1])[i % 3])
+               for i in range(60)]
+    return join(tables[::-1])
+
+
+@pytest.mark.parametrize("ratio, seed", [(0.8, 0), (0.5, 3), (0.3, 11)])
+def test_columnar_build_dataset_equals_the_per_trace_reference(ratio, seed):
+    table = _awkward_table()
+    _assert_same_split(build_dataset(table, ratio=ratio, seed=seed),
+                       _reference_build_dataset(table, ratio, seed))
+    _assert_same_split(build_dataset(table, ratio=ratio, seed=seed, observation_end=3e18),
+                       _reference_build_dataset(table, ratio, seed, observation_end=3e18))
+
+
+def test_columnar_build_dataset_equals_the_per_trace_reference_on_a_population(
+        small_population_module):
+    _assert_same_split(build_dataset(small_population_module, ratio=0.8, seed=5),
+                       _reference_build_dataset(small_population_module, 0.8, 5))

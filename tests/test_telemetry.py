@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 import warnings
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ODD_IDS, make_trace
+from helpers import ODD_IDS, join, make_trace
 from salience_lab.telemetry import (
     CSV_COLUMNS,
     GameSpec,
     LatentPlayerState,
+    PopulationSpec,
     TelemetryError,
     env_stamp,
     ingest_csv,
@@ -38,6 +40,7 @@ def _civil_from_days(z: int) -> tuple[int, int, int]:
 
 
 _CUM_DAYS = [0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334]
+_CYCLE = 146097 * 1440  # minutes in 400 Gregorian years
 
 
 def _oracle_stamp(minute: int) -> tuple[int, int, int]:
@@ -50,41 +53,60 @@ def _oracle_stamp(minute: int) -> tuple[int, int, int]:
     return hour, weekday, doy
 
 
+def _stamp(minute: int) -> tuple[int, int, int]:
+    """(hour, weekday, day of year) of one minute, through the vector calendar."""
+    return tuple(int(field[0]) for field in env_stamp(np.array([minute])))
+
+
 def test_env_stamp_epoch_origin():
-    stamp = env_stamp(0, "eu")
-    assert stamp.hour_of_day == 0
-    assert stamp.day_of_week == 3  # Thursday
-    assert stamp.day_of_year == 1
+    hour, weekday, yearday = _stamp(0)
+    assert hour == 0
+    assert weekday == 3  # Thursday
+    assert yearday == 1
 
 
 def test_env_stamp_one_day_later():
-    stamp = env_stamp(1440, "eu")
-    assert stamp.day_of_year == 2
-    assert stamp.hour_of_day == 0
+    hour, _, yearday = _stamp(1440)
+    assert yearday == 2
+    assert hour == 0
 
 
 def test_env_stamp_one_hour_later():
-    stamp = env_stamp(60, "eu")
-    assert stamp.hour_of_day == 1
-    assert stamp.day_of_year == 1
+    hour, _, yearday = _stamp(60)
+    assert hour == 1
+    assert yearday == 1
 
 
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=300, deadline=None)
 def test_env_stamp_matches_civil_calendar_oracle(minute):
-    stamp = env_stamp(minute, "na")
-    hour, weekday, doy = _oracle_stamp(minute)
-    assert stamp.hour_of_day == hour
-    assert stamp.day_of_week == weekday
-    assert stamp.day_of_year == doy
-    assert 0 <= stamp.hour_of_day <= 23
-    assert 0 <= stamp.day_of_week <= 6
-    assert 1 <= stamp.day_of_year <= 366
+    hour, weekday, yearday = _stamp(minute)
+    assert (hour, weekday, yearday) == _oracle_stamp(minute)
+    assert 0 <= hour <= 23
+    assert 0 <= weekday <= 6
+    assert 1 <= yearday <= 366
+
+
+def test_env_stamp_equals_gmtime_on_random_int64_minutes():
+    rng = np.random.default_rng(16)
+    minutes = np.concatenate([
+        rng.integers(0, 10**9, size=100_000),
+        rng.integers(0, 2**63 - 1, size=90_000, dtype=np.int64),
+        rng.integers(2**53 - 10**6, 2**53 + 10**6, size=10_000),
+        [0, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, _CYCLE - 1, _CYCLE],
+    ])
+    hour, weekday, yearday = env_stamp(minutes)
+    expected = []
+    for minute in minutes.tolist():
+        # gmtime covers years to about 2**31 only; the calendar repeats every 400 years
+        moment = time.gmtime(60 * (minute % _CYCLE))
+        expected.append((moment.tm_hour, moment.tm_wday, moment.tm_yday))
+    assert np.array_equal(np.stack([hour, weekday, yearday], axis=1), np.array(expected))
 
 
 def test_env_stamp_rejects_negative():
     with pytest.raises(TelemetryError):
-        env_stamp(-1, "eu")
+        env_stamp(np.array([5, -1]))
 
 
 def _spec(**kw) -> GameSpec:
@@ -118,12 +140,12 @@ def test_simulate_zero_reward_at_threshold_ends_immediately():
 
 
 def test_simulate_invariants_and_latent_present(small_population):
+    small_population.validate()
     for trace in small_population:
-        trace.validate()
-        assert trace.latent_trace is not None
-        assert len(trace.latent_trace) == trace.total_sessions
-        assert trace.sessions[0].delta_session == 0.0
-        for salience, reward in trace.latent_trace:
+        assert trace.salience is not None and trace.reward is not None
+        assert len(trace.salience) == len(trace.reward) == trace.total_sessions
+        assert trace.delta_session[0] == 0.0
+        for salience, reward in zip(trace.salience, trace.reward):
             assert salience >= 0.0
             assert 0.0 <= reward <= 1.0
 
@@ -187,8 +209,10 @@ def test_csv_round_trip(tmp_path, small_population):
     by_user = {t.user_id: t for t in recovered}
     assert len(recovered) == len(small_population)
     for original in small_population:
-        assert by_user[original.user_id].sessions == original.sessions
-        assert by_user[original.user_id].latent_trace is None
+        for name in CSV_COLUMNS:
+            assert np.array_equal(getattr(by_user[original.user_id], name),
+                                  getattr(original, name)), name
+        assert by_user[original.user_id].salience is None
 
 
 def test_latent_sidecar_round_trip(tmp_path, small_population):
@@ -196,7 +220,7 @@ def test_latent_sidecar_round_trip(tmp_path, small_population):
     write_latent_csv(small_population, path)
     latent = read_latent_csv(path)
     sample = small_population[0]
-    assert latent[sample.user_id] == sample.latent_trace
+    assert latent[sample.user_id] == list(zip(sample.salience.tolist(), sample.reward.tolist()))
 
 
 def test_ingest_gap_is_end_to_start(tmp_path):
@@ -209,7 +233,7 @@ def test_ingest_gap_is_end_to_start(tmp_path):
         encoding="utf-8",
     )
     (trace,) = ingest_csv(path)
-    assert trace.sessions[1].delta_session == 70.0  # 100 - (0 + 30)
+    assert trace.delta_session[1] == 70.0  # 100 - (0 + 30)
 
 
 def test_ingest_empty_file_with_header(tmp_path):
@@ -219,7 +243,7 @@ def test_ingest_empty_file_with_header(tmp_path):
         "activity_index,activity_diversity,region\n",
         encoding="utf-8",
     )
-    assert ingest_csv(path) == []
+    assert len(ingest_csv(path)) == 0
 
 
 def test_ingest_rejects_play_over_session(tmp_path):
@@ -270,11 +294,11 @@ def test_population_deterministic():
 
 
 def test_csv_round_trip_of_ids_that_need_quoting(tmp_path):
-    traces = [
+    traces = join(
         make_trace(user, ODD_IDS[(i + 3) % len(ODD_IDS)], [100 * i, 100 * i + 50],
                    [10.0 + i, 20.0], region=ODD_IDS[(i + 5) % len(ODD_IDS)])
         for i, user in enumerate(ODD_IDS)
-    ]
+    )
     path = tmp_path / "telemetry.csv"
     write_csv(traces, path)
     recovered = ingest_csv(path)
@@ -282,16 +306,16 @@ def test_csv_round_trip_of_ids_that_need_quoting(tmp_path):
     assert [(t.user_id, t.game_id) for t in recovered] == [
         (t.user_id, t.game_id) for t in expected]
     for ours, theirs in zip(recovered, expected):
-        assert ours.sessions == theirs.sessions
-        assert ours.total_play_time == theirs.total_play_time
+        for name in CSV_COLUMNS:
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
 
 
 def test_ingest_header_only_without_warning(tmp_path):
     path = tmp_path / "empty.csv"
-    write_csv([], path)
+    write_csv(make_trace("u", "g", [0], [1.0]).take([]), path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert ingest_csv(path) == []
+        assert len(ingest_csv(path)) == 0
 
 
 def test_ingest_shuffled_rows_gives_the_same_traces(tmp_path, small_population):
@@ -348,16 +372,59 @@ def test_start_utc_above_2_to_53_round_trips_exactly(tmp_path):
     starts = [big, big + 101, big + 2**40]
     trace = make_trace("u1", "g", starts, [30.0, 10.0, 5.0])
     path = tmp_path / "telemetry.csv"
-    write_csv([trace], path)
-    (recovered,) = ingest_csv(path)
-    assert [s.start_utc for s in recovered.sessions] == starts
-    assert recovered.sessions == trace.sessions
-    for s in recovered.sessions:
-        assert (s.env.hour_of_day, s.env.day_of_week, s.env.day_of_year) == _oracle_stamp(
-            s.start_utc)
+    write_csv(trace, path)
+    recovered = ingest_csv(path)
+    assert recovered.start_utc.tolist() == starts
+    assert recovered == trace
+    for start, stamp in zip(starts, zip(*env_stamp(recovered.start_utc))):
+        assert tuple(int(field) for field in stamp) == _oracle_stamp(start)
 
 
 def test_env_stamp_repeats_every_400_gregorian_years():
-    cycle = 146097 * 1440
-    for minute in (0, 59, 1440 * 59 + 17, 10**9, cycle - 1):
-        assert env_stamp(minute + 7 * cycle, "eu") == env_stamp(minute, "eu")
+    minutes = np.array([0, 59, 1440 * 59 + 17, 10**9, _CYCLE - 1])
+    for ours, shifted in zip(env_stamp(minutes), env_stamp(minutes + 7 * _CYCLE)):
+        assert np.array_equal(ours, shifted)
+
+
+def _csv_of(tmp_path, rows) -> str:
+    path = tmp_path / "telemetry.csv"
+    lines = [",".join(CSV_COLUMNS)] + [",".join(map(str, row)) for row in rows]
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+    return path
+
+
+@pytest.mark.parametrize("field, value", [("session_time", "nan"), ("play_time", "nan"),
+                                          ("session_time", "inf"), ("play_time", "-inf"),
+                                          ("delta_session", "nan")])
+def test_ingest_rejects_a_non_finite_duration_naming_its_line(tmp_path, field, value):
+    rows = [["u1", "g", 0, "30.0", "20.0", "0.0", 3, 2, "eu"],
+            ["u1", "g", 100, "10.0", "5.0", "0.0", 3, 1, "eu"]]
+    rows[1][CSV_COLUMNS.index(field)] = value
+    with pytest.raises(TelemetryError, match="^line 3: non-finite duration$"):
+        ingest_csv(_csv_of(tmp_path, rows))
+
+
+def test_ingest_rejects_a_negative_start_naming_its_line(tmp_path):
+    rows = [["u1", "g", 0, "30.0", "20.0", "0.0", 3, 2, "eu"],
+            ["u2", "g", -5, "10.0", "5.0", "0.0", 3, 1, "eu"]]
+    with pytest.raises(TelemetryError, match="^line 3: negative start_utc$"):
+        ingest_csv(_csv_of(tmp_path, rows))
+
+
+@pytest.mark.parametrize("field, value", [("user_id", "u1\x00"), ("game_id", "\x00g"),
+                                          ("region", "e\x00u")])
+def test_ingest_rejects_nul_in_an_id_naming_its_line(tmp_path, field, value):
+    # a trailing NUL would vanish in a str array, merging u1\x00 into u1's trace
+    rows = [["u1", "g", 0, "30.0", "20.0", "0.0", 3, 2, "eu"],
+            ["u1", "g", 100, "10.0", "5.0", "0.0", 3, 1, "eu"]]
+    rows[1][CSV_COLUMNS.index(field)] = value
+    with pytest.raises(TelemetryError, match=f"^line 3: NUL in {field}$"):
+        ingest_csv(_csv_of(tmp_path, rows))
+
+
+def test_nul_in_a_game_id_or_region_is_rejected():
+    with pytest.raises(TelemetryError, match="game_id must not hold NUL"):
+        _spec(game_id="g\x00").validate()
+    population = PopulationSpec(regions=("eu", "na\x00"))
+    with pytest.raises(TelemetryError, match="regions must not hold NUL"):
+        simulate_population([_spec()], 1, 0, 1, seed=0, population=population)
