@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .features import (BEHAVIOUR_FIELDS, TARGETS, FeaturizedTrace, ScalerStats, invert_scaler,
+from .features import (BEHAVIOUR_FIELDS, TARGETS, FeatureTable, ScalerStats, invert_scaler,
                        target_medians)
 
 
@@ -360,37 +360,35 @@ class PartitionProfile:
 
 def profile_partitions(
     assignments: Mapping[str, int],
-    traces: Sequence[FeaturizedTrace],
+    traces: FeatureTable,
     scaler: ScalerStats,
     max_session_index: int = 20,
 ) -> PartitionProfile:
     """Mean +/- 95% CI of unscaled inputs per session index, per cluster.
 
-    Target distributions are quartiles over the members' target_medians; a
-    member with no observed absence (nan) adds nothing to `ab`.
+    Each cluster's members are its users' traces, in user order.  Target
+    distributions are quartiles over the members' target_medians; a member
+    with no observed absence (nan) adds nothing to `ab`.
     """
-    by_user = {t.user_id: t for t in traces}
-    missing = [u for u in assignments if u not in by_user]
+    users = traces.user_id.tolist()
+    known = set(users)
+    missing = [u for u in assignments if u not in known]
     if missing:
         raise AnalysisError(f"assignments reference unknown users: {missing[:3]}")
 
-    cluster_ids = sorted(set(assignments.values()))
+    cluster_of = np.array([assignments.get(u) for u in users], dtype=object)
+    by_user = np.argsort(traces.user_id, kind="stable")
+    lengths, medians = traces.lengths, target_medians(traces, scaler)
     clusters: dict[int, dict] = {}
-    for cid in cluster_ids:
-        members = [by_user[u] for u, c in assignments.items() if c == cid]
-        members.sort(key=lambda t: t.user_id)
-        entry: dict = {"count": len(members)}
-        t_max = min(max_session_index, max(m.length for m in members))
-        unscaled = [
-            np.stack([invert_scaler(scaler, name, m.behaviour[:t_max, j])
-                      for j, name in enumerate(BEHAVIOUR_FIELDS)], axis=1)
-            for m in members
-        ]
+    for cid in sorted(set(assignments.values())):
+        members = by_user[cluster_of[by_user] == cid]
+        first, length = traces.first_rows[members], lengths[members]
+        t_max = min(max_session_index, int(length.max()))
         curves: dict[str, list] = {}
         for j, name in enumerate(BEHAVIOUR_FIELDS):
             rows = []
             for t in range(t_max):
-                values = np.asarray([u[t, j] for u in unscaled if len(u) > t])
+                values = invert_scaler(scaler, name, traces.behaviour[first[length > t] + t, j])
                 mean = float(values.mean())
                 if values.size > 1:
                     half = 1.96 * float(values.std(ddof=1)) / math.sqrt(values.size)
@@ -402,15 +400,13 @@ def profile_partitions(
             curves[name] = rows
 
         target_summaries = {}
-        for name, medians in zip(TARGETS, target_medians(members, scaler).T):
-            values = medians[~np.isnan(medians)]
+        for name, values in zip(TARGETS, medians[members].T):
+            values = values[~np.isnan(values)]
             if not values.size:
                 target_summaries[name] = None
                 continue
             q1, q2, q3 = np.quantile(values, [0.25, 0.5, 0.75])
             target_summaries[name] = {"q1": float(q1), "q2": float(q2), "q3": float(q3)}
 
-        entry["curves"] = curves
-        entry["targets"] = target_summaries
-        clusters[cid] = entry
+        clusters[cid] = {"count": len(members), "curves": curves, "targets": target_summaries}
     return PartitionProfile(clusters=clusters)

@@ -291,7 +291,7 @@ def cmd_featurize(config: dict, out: Path) -> None:
     split = build_dataset(traces, **_featurization(config))
     save_dataset(split, out / "features")
     print(
-        f"featurize: {len(split.train)} train / {len(split.test)} test users -> "
+        f"featurize: {len(split.train)} train / {len(split.test)} test traces -> "
         f"{out / 'features'}"
     )
 
@@ -384,7 +384,7 @@ def _embedding_inputs(config: dict, out: Path):
     path = _need(out / "models" / "melchior.json", "train --model melchior")
     model = models.load_model(path, split.vocabs)
     scope = _analysis_config(config).scope
-    traces = split.test if scope == "test" else split.train + split.test
+    traces = split.test if scope == "test" else split.traces
     if not traces:
         raise CliError("embed: no traces in the selected scope")
     return split, model, traces
@@ -396,7 +396,6 @@ def cmd_embed(config: dict, out: Path) -> None:
     projection = analysis.pca_fit(z_final)
     coords = analysis.pca_transform(projection, z_final)
 
-    by_user = {t.user_id: t for t in traces}
     embed_dir = out / "embed"
     d_z = z_final.shape[1]
     _write_csv(
@@ -404,13 +403,13 @@ def cmd_embed(config: dict, out: Path) -> None:
         ["user_id"] + [f"z{i}" for i in range(d_z)],
         [users, *z_final.T],
     )
-    ordered = [by_user[user] for user in users]
-    medians = features.target_medians(ordered, split.scaler)
+    by_user = np.argsort(traces.user_id, kind="stable")  # the traces in the order of users
+    medians = features.target_medians(traces, split.scaler)[by_user]
     medians[np.isnan(medians)] = 0.0  # absence never observed
     _write_csv(
         embed_dir / "embedding_2d.csv",
         ["user_id", "x", "y", "game", "ch", "median_st", "median_ss", "median_ab"],
-        [users, *coords[:, :2].T, [ft.game_id for ft in ordered], *medians.T],
+        [users, *coords[:, :2].T, traces.game_id[by_user], *medians.T],
     )
     print(f"embed: {len(users)} users -> {embed_dir / 'embedding_2d.csv'}")
 

@@ -12,13 +12,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import csvio
+from .ragged import RaggedTable, TraceView
 from .telemetry import SessionTable, env_stamp
 
 BEHAVIOUR_FIELDS = (
@@ -29,7 +29,7 @@ BEHAVIOUR_FIELDS = (
     "activity_diversity",
 )
 ENV_FIELDS = ("hour", "weekday", "yearday", "region")
-#: The four targets in model order: name -> the FeaturizedTrace field (and
+#: The four targets in model order: name -> the FeatureTable column (and
 #: compute_targets key) that holds it.  Churn is a probability and stays
 #: unscaled; the other three are min-max scaled under their names.
 TARGETS = {"ch": "churn", "st": "survival_time", "ss": "survival_sessions", "ab": "absence"}
@@ -81,8 +81,7 @@ def _game_thresholds(traces: SessionTable) -> dict[str, float]:
 
     The gaps are every session's delta_session but each trace's first (its zero).
     """
-    later = np.ones(len(traces.user_id), dtype=bool)
-    later[traces.first_rows] = False
+    later = traces.session_index > 1
     games, owner = np.unique(traces.game_id, return_inverse=True)
     gaps, owner = traces.delta_session[later], owner[later]
     gaps = gaps[np.lexsort((gaps, owner))]  # by game, then ascending
@@ -105,12 +104,6 @@ def churn_probability(completed: bool, inactive_for: float, threshold: float) ->
     return 0.5
 
 
-def _sessions_after(offsets: np.ndarray) -> np.ndarray:
-    """Per row, how many sessions of its trace follow it (0 at each trace's last)."""
-    lengths = np.diff(offsets)
-    return np.repeat(offsets[1:], lengths) - 1 - np.arange(offsets[-1])
-
-
 def _suffix_sums(values: np.ndarray, after: np.ndarray) -> np.ndarray:
     """Per row, the sum of the values of the rows after it in its trace.
 
@@ -131,7 +124,7 @@ def _suffix_sums(values: np.ndarray, after: np.ndarray) -> np.ndarray:
 def compute_targets(
     traces: SessionTable, thresholds: float | np.ndarray, observation_end: float
 ) -> dict[str, np.ndarray]:
-    """Per-session targets of every trace, unscaled, under their FeaturizedTrace field
+    """Per-session targets of every trace, unscaled, under their FeatureTable column
     names, plus ab_mask; each array has one entry per row of the table.
 
     thresholds is each trace's inactivity threshold, or one for all.  Remaining
@@ -139,13 +132,10 @@ def compute_targets(
     exactly zero at the final session.  The absence gap of the final session is
     unobservable: it is 0 there, and ab_mask is 0.0 there and 1.0 elsewhere.
     """
-    offsets, last = traces.offsets, traces.last_rows
-    after = _sessions_after(offsets)
-    ab_mask = np.ones(len(after))
-    ab_mask[last] = 0.0
-    absence = np.zeros(len(after))  # each session's next gap
-    absence[:-1] = traces.delta_session[1:]
-    absence[last] = 0.0
+    last = traces.last_rows
+    after = np.repeat(traces.lengths, traces.lengths) - traces.session_index  # sessions to come
+    ab_mask = (after > 0).astype(np.float64)
+    absence = np.where(after > 0, np.r_[traces.delta_session[1:], 0.0], 0.0)  # the next gap
 
     inactive_for = np.maximum(
         0.0, observation_end - (traces.start_utc[last] + traces.session_time[last]))
@@ -153,7 +143,7 @@ def compute_targets(
     churn = [churn_probability(*state) for state in zip(
         traces.completed.tolist(), inactive_for.tolist(), thresholds.tolist())]
     return {
-        "churn": np.repeat(np.asarray(churn, dtype=np.float64), np.diff(offsets)),
+        "churn": np.repeat(np.asarray(churn, dtype=np.float64), traces.lengths),
         "survival_time": _suffix_sums(traces.play_time, after),
         "survival_sessions": after.astype(np.float64),
         "absence": absence,
@@ -231,15 +221,8 @@ class Vocab:
     def size(self) -> int:
         return len(self.tokens) + 1
 
-    @cached_property
-    def _index(self) -> dict:
-        return {token: i for i, token in enumerate(self.tokens, start=1)}
-
-    def encode(self, value) -> int:
-        return self._index.get(value, 0)
-
     def codes(self, values: np.ndarray) -> np.ndarray:
-        """encode of each value, as int64: its sorted position from 1, or 0 out of vocabulary."""
+        """Each value's code, as int64: its sorted position from 1, or 0 out of vocabulary."""
         values = np.asarray(values)
         if not self.tokens:
             return np.zeros(values.shape, dtype=np.int64)
@@ -291,47 +274,54 @@ def split_users(user_ids: Sequence[str], ratio: float, seed: int) -> tuple[set[s
     return set(ordered[:n_train]), set(ordered[n_train:])
 
 
-def carve_validation(traces: Sequence, fraction: float, seed: int) -> tuple[list, list]:
+def carve_validation(traces: FeatureTable, fraction: float,
+                     seed: int) -> tuple[FeatureTable, FeatureTable]:
     """Split traces by user into (fit, validation), about `fraction` of the users validating."""
-    fit_users, _ = split_users([t.user_id for t in traces], 1.0 - fraction, seed)
-    return ([t for t in traces if t.user_id in fit_users],
-            [t for t in traces if t.user_id not in fit_users])
+    users = traces.user_id.tolist()
+    fit_users, _ = split_users(users, 1.0 - fraction, seed)
+    fit = np.array([user in fit_users for user in users], dtype=bool)
+    return traces.take(np.flatnonzero(fit)), traces.take(np.flatnonzero(~fit))
 
 
-@dataclass
-class FeaturizedTrace:
-    """One trace as scaled inputs, encoded context, and (scaled) targets."""
-
-    user_id: str
-    game_id: str
-    game_idx: int
-    behaviour: np.ndarray  # (T, 5) scaled floats
-    env_idx: np.ndarray  # (T, 4) int64: hour, weekday, yearday, region
-    churn: np.ndarray  # (T,) constant within the trace
-    survival_time: np.ndarray  # (T,) scaled
-    survival_sessions: np.ndarray  # (T,) scaled
-    absence: np.ndarray  # (T,) scaled, final element masked
-    ab_mask: np.ndarray  # (T,) 1.0 where absence is observed
-
-    @property
-    def length(self) -> int:
-        return int(self.behaviour.shape[0])
+@dataclass(frozen=True)
+class FeaturizedTrace(TraceView):
+    """One trace of a FeatureTable, viewed in place (see TraceView)."""
 
 
-def target_medians(traces: Sequence[FeaturizedTrace], scaler: ScalerStats) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class FeatureTable(RaggedTable):
+    """Featurized traces held as columns (see RaggedTable): scaled inputs, encoded
+    context and (scaled) targets per session; user_id, game_id and game_idx per trace."""
+
+    ROW_COLUMNS = ("behaviour", "env_idx", *TARGETS.values(), "ab_mask")
+    TRACE_COLUMNS = ("user_id", "game_id", "game_idx")
+    VIEW = FeaturizedTrace
+
+    behaviour: np.ndarray  # (n, 5) scaled floats
+    env_idx: np.ndarray  # (n, 4) int64: hour, weekday, yearday, region
+    churn: np.ndarray  # (n,) constant within each trace
+    survival_time: np.ndarray  # (n,) scaled
+    survival_sessions: np.ndarray  # (n,) scaled
+    absence: np.ndarray  # (n,) scaled, 0 at each trace's final session
+    ab_mask: np.ndarray  # (n,) 1.0 where absence is observed
+    user_id: np.ndarray
+    game_id: np.ndarray
+    game_idx: np.ndarray  # int64
+    offsets: np.ndarray
+
+
+def target_medians(traces: FeatureTable, scaler: ScalerStats) -> np.ndarray:
     """Median of each target over each trace's steps, in unscaled units.
 
-    Row i holds traces[i]'s medians, in TARGETS order.  Absence is taken over its
+    Row i holds trace i's medians, in TARGETS order.  Absence is taken over its
     observed steps only, and is nan for a trace with none.  Each median is the
     middle value, or the two middle values added and halved, as np.median does.
     """
-    table = np.full((len(traces), len(TARGETS)), np.nan)
-    if not traces:
-        return table
-    step_owner = np.repeat(np.arange(len(traces)), [t.length for t in traces])
-    observed = np.concatenate([t.ab_mask for t in traces]) > 0
+    out = np.full((len(traces), len(TARGETS)), np.nan)
+    step_owner = np.repeat(np.arange(len(traces)), traces.lengths)
+    observed = traces.ab_mask > 0
     for j, (name, field) in enumerate(TARGETS.items()):
-        values = np.concatenate([getattr(t, field) for t in traces])
+        values = getattr(traces, field)
         owner = step_owner
         if name == "ab":
             values, owner = values[observed], owner[observed]
@@ -346,22 +336,30 @@ def target_medians(traces: Sequence[FeaturizedTrace], scaler: ScalerStats) -> np
         hi = values[first + counts // 2]
         medians = np.where(counts % 2 == 1, lo, (lo + hi) / 2)
         medians[np.isnan(values[first + counts - 1])] = np.nan
-        table[has, j] = medians
-    return table
+        out[has, j] = medians
+    return out
 
 
 @dataclass
 class DatasetSplit:
-    """Featurized train/test collections plus the statistics that built them."""
+    """A featurized split's traces, train then test, plus the statistics that built them."""
 
-    train: list[FeaturizedTrace]
-    test: list[FeaturizedTrace]
+    traces: FeatureTable  # the n_train training traces, then the test traces
+    n_train: int
     vocabs: Vocabularies
     scaler: ScalerStats
     split_seed: int
     ratio: float
     thresholds: dict[str, float]
     observation_end: float
+
+    @property
+    def train(self) -> FeatureTable:
+        return self.traces[:self.n_train]
+
+    @property
+    def test(self) -> FeatureTable:
+        return self.traces[self.n_train:]
 
 
 def build_dataset(
@@ -375,8 +373,8 @@ def build_dataset(
     Inactivity thresholds are computed per game over every provided trace;
     vocabularies for region/game and all scaler statistics are fit on the
     training split only, so they are identical whether or not the test split
-    exists.  Each split lists its traces in (user_id, game_id) order, each a
-    slice of arrays built once for the whole split.
+    exists.  The training traces come first, then the test traces, each part
+    in (user_id, game_id) order.
     """
     if not len(traces):
         raise FeatureError("build_dataset needs at least one trace")
@@ -389,64 +387,44 @@ def build_dataset(
     users = traces.user_id[traces.first_rows]
     train_users, _ = split_users(users.tolist(), ratio, seed)
     in_train = np.array([user in train_users for user in users.tolist()], dtype=bool)
-    order = np.lexsort((traces.game_id[traces.first_rows], users))  # stable, as sorted() is
-    train_raw, test_raw = traces.take(order[in_train[order]]), traces.take(order[~in_train[order]])
+    # train first; stable within each part, as sorted() is
+    raw = traces.take(np.lexsort((traces.game_id[traces.first_rows], users, ~in_train)))
+    n_train = int(in_train.sum())
+    fitted = slice(0, raw.offsets[n_train])  # the training rows
 
-    vocabs = Vocabularies(
-        hour=HOUR_VOCAB,
-        weekday=WEEKDAY_VOCAB,
-        yearday=YEARDAY_VOCAB,
-        region=build_vocab(np.unique(train_raw.region).tolist()),
-        game=build_vocab(np.unique(train_raw.game_id).tolist()),
-    )
+    vocabs = Vocabularies(hour=HOUR_VOCAB, weekday=WEEKDAY_VOCAB, yearday=YEARDAY_VOCAB,
+                          region=build_vocab(np.unique(raw.region[fitted]).tolist()),
+                          game=build_vocab(np.unique(raw.game_id[fitted]).tolist()))
 
-    def raw_arrays(table: SessionTable) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        behaviour = np.stack([np.asarray(getattr(table, name), dtype=np.float64)
-                              for name in BEHAVIOUR_FIELDS], axis=1)
-        games = table.game_id[table.first_rows].tolist()
-        return behaviour, compute_targets(table, [thresholds[g] for g in games], observation_end)
-
-    behaviour_train, targets_train = raw_arrays(train_raw)
-    columns = {name: behaviour_train[:, j] for j, name in enumerate(BEHAVIOUR_FIELDS)}
+    behaviour = np.stack([np.asarray(getattr(raw, name), dtype=np.float64)
+                          for name in BEHAVIOUR_FIELDS], axis=1)
+    games = raw.game_id[raw.first_rows]
+    targets = compute_targets(raw, [thresholds[g] for g in games.tolist()], observation_end)
+    columns = {name: behaviour[fitted, j] for j, name in enumerate(BEHAVIOUR_FIELDS)}
     for name, field in TARGETS.items():
         if name != "ch":  # churn stays unscaled; absence is fitted where it is observed
-            values = targets_train[field]
+            values = targets[field][fitted]
             if name == "ab":
-                values = values[targets_train["ab_mask"] > 0]
+                values = values[targets["ab_mask"][fitted] > 0]
             columns[name] = values if values.size else np.zeros(1)
     scaler = fit_scaler(columns)
 
-    def featurize(table: SessionTable, behaviour: np.ndarray,
-                  targets: dict[str, np.ndarray]) -> list[FeaturizedTrace]:
-        # behaviour is scaled in place and each target replaced in its dict, so that
-        # no unscaled array is kept beside the scaled one
-        for j, name in enumerate(BEHAVIOUR_FIELDS):
-            behaviour[:, j] = apply_scaler(scaler, name, behaviour[:, j])
-        context = dict(zip(ENV_FIELDS, (*env_stamp(table.start_utc), table.region)))
-        env_idx = np.stack([getattr(vocabs, field).codes(context[field])
-                            for field in ENV_FIELDS], axis=1)
-        for name, field in TARGETS.items():
-            if name != "ch":  # churn is a probability and stays unscaled
-                targets[field] = apply_scaler(scaler, name, targets[field])
-        targets["absence"] *= targets["ab_mask"]  # masked entries carry no information
-        first = table.first_rows
-        bounds = table.offsets.tolist()
-        return [
-            FeaturizedTrace(
-                user_id=user, game_id=game, game_idx=game_idx,
-                behaviour=behaviour[a:b], env_idx=env_idx[a:b],
-                **{field: values[a:b] for field, values in targets.items()},
-            )
-            for user, game, game_idx, a, b in zip(
-                table.user_id[first].tolist(), table.game_id[first].tolist(),
-                vocabs.game.codes(table.game_id[first]).tolist(), bounds, bounds[1:])
-        ]
-
-    train = featurize(train_raw, behaviour_train, targets_train)
-    test = featurize(test_raw, *raw_arrays(test_raw))
+    # behaviour is scaled in place and each target replaced in its dict, so that
+    # no unscaled array is kept beside the scaled one
+    for j, name in enumerate(BEHAVIOUR_FIELDS):
+        behaviour[:, j] = apply_scaler(scaler, name, behaviour[:, j])
+    context = dict(zip(ENV_FIELDS, (*env_stamp(raw.start_utc), raw.region)))
+    env_idx = np.stack([getattr(vocabs, field).codes(context[field]) for field in ENV_FIELDS],
+                       axis=1)
+    for name, field in TARGETS.items():
+        if name != "ch":  # churn is a probability and stays unscaled
+            targets[field] = apply_scaler(scaler, name, targets[field])
+    targets["absence"] *= targets["ab_mask"]  # masked entries carry no information
     return DatasetSplit(
-        train=train,
-        test=test,
+        traces=FeatureTable(behaviour=behaviour, env_idx=env_idx, **targets,
+                            user_id=raw.user_id[raw.first_rows], game_id=games,
+                            game_idx=vocabs.game.codes(games), offsets=raw.offsets),
+        n_train=n_train,
         vocabs=vocabs,
         scaler=scaler,
         split_seed=seed,
@@ -472,70 +450,46 @@ def save_dataset(split: DatasetSplit, directory: str | Path) -> None:
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     for name, traces in (("train", split.train), ("test", split.test)):
-        csvio.write_columns(directory / f"{name}.csv", _DATASET_COLUMNS, _split_columns(traces))
-
-
-def _split_columns(traces: Sequence[FeaturizedTrace]) -> list:
-    """The columns of a split CSV, in file order: each trace's arrays end to end."""
-    if not traces:
-        return [[]] * len(_DATASET_COLUMNS)
-    lengths = [ft.length for ft in traces]
-
-    def per_step(values: list) -> np.ndarray:  # each trace's value, once per step
-        return np.repeat(np.asarray(values), lengths)
-
-    def stacked(field: str) -> np.ndarray:
-        return np.concatenate([getattr(ft, field) for ft in traces])
-
-    first = np.cumsum(lengths) - lengths
-    return [
-        per_step([ft.user_id for ft in traces]),
-        per_step([ft.game_id for ft in traces]),
-        np.arange(sum(lengths)) + 1 - per_step(first),
-        *stacked("behaviour").T,
-        *stacked("env_idx").T,
-        per_step([ft.game_idx for ft in traces]),
-        *(stacked(field) for field in (*TARGETS.values(), "ab_mask")),
-    ]
-
-
-def _load_traces(path: Path) -> list[FeaturizedTrace]:
-    """The traces of one split CSV, ordered by (user, game), each a slice of the columns."""
-    columns = csvio.read_columns(path, _DATASET_COLUMNS, FeatureError)
-    users, games = columns["user_id"], columns["game_id"]
-    if not users.size:
-        return []
-    order = np.lexsort((columns["session_index"], games, users))
-    users, games = users[order], games[order]
-    behaviour = np.stack([columns[name][order] for name in BEHAVIOUR_FIELDS], axis=1)
-    env_idx = np.stack([columns[f"{name}_idx"][order] for name in ENV_FIELDS], axis=1)
-    targets = {field: columns[name][order] for name, field in TARGETS.items()}
-    ab_mask = columns["ab_mask"][order]
-    first = np.flatnonzero(np.r_[True, (users[1:] != users[:-1]) | (games[1:] != games[:-1])])
-    bounds = np.append(first, len(order)).tolist()
-    return [
-        FeaturizedTrace(
-            user_id=user,
-            game_id=game,
-            game_idx=game_idx,
-            behaviour=behaviour[a:b],
-            env_idx=env_idx[a:b],
-            ab_mask=ab_mask[a:b],
-            **{field: values[a:b] for field, values in targets.items()},
-        )
-        for user, game, game_idx, a, b in zip(
-            users[first].tolist(), games[first].tolist(),
-            columns["game_idx"][order][first].tolist(), bounds, bounds[1:])
-    ]
+        lengths = traces.lengths
+        csvio.write_columns(directory / f"{name}.csv", _DATASET_COLUMNS, [
+            np.repeat(traces.user_id, lengths),
+            np.repeat(traces.game_id, lengths),
+            traces.session_index,
+            *traces.behaviour.T,
+            *traces.env_idx.T,
+            np.repeat(traces.game_idx, lengths),
+            *(getattr(traces, field) for field in (*TARGETS.values(), "ab_mask")),
+        ])
 
 
 def load_dataset(directory: str | Path) -> DatasetSplit:
-    """Load a split written by save_dataset."""
+    """Load a split written by save_dataset: the traces of train.csv and then of
+    test.csv, each part in (user_id, game_id) order."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    parts = [csvio.read_columns(directory / f"{name}.csv", _DATASET_COLUMNS, FeatureError)
+             for name in ("train", "test")]
+    part = np.repeat([0, 1], [len(columns["user_id"]) for columns in parts])
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([columns[name] for columns in parts])
+
+    order = np.lexsort((column("session_index"), column("game_id"), column("user_id"), part))
+
+    def ordered(name: str) -> np.ndarray:
+        return column(name)[order]
+
+    users, games, part = ordered("user_id"), ordered("game_id"), part[order]
+    same = (users[1:] == users[:-1]) & (games[1:] == games[:-1]) & (part[1:] == part[:-1])
+    first = np.flatnonzero(np.r_[True, ~same])[:len(order)]  # each trace's first row
     return DatasetSplit(
-        train=_load_traces(directory / "train.csv"),
-        test=_load_traces(directory / "test.csv"),
+        traces=FeatureTable(
+            behaviour=np.stack([ordered(name) for name in BEHAVIOUR_FIELDS], axis=1),
+            env_idx=np.stack([ordered(f"{name}_idx") for name in ENV_FIELDS], axis=1),
+            **{field: ordered(name) for name, field in TARGETS.items()},
+            ab_mask=ordered("ab_mask"), user_id=users[first], game_id=games[first],
+            game_idx=ordered("game_idx")[first], offsets=np.append(first, len(order))),
+        n_train=int(np.count_nonzero(part[first] == 0)),
         vocabs=Vocabularies.from_dict(manifest["vocabularies"]),
         scaler=ScalerStats.from_dict(manifest["scaler"]),
         split_seed=int(manifest["split_seed"]),

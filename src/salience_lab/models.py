@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import neural
-from .features import (ENV_FIELDS, TARGETS, DatasetSplit, FeaturizedTrace, Vocabularies,
+from .features import (ENV_FIELDS, TARGETS, DatasetSplit, FeatureTable, Vocabularies,
                        carve_validation)
 from .neural import (AdamState, Dense, Embedding, GruLayer, Heads, bce_loss, bce_terms,
                      smape_loss, smape_terms)
@@ -61,40 +61,37 @@ class Batch:
     lengths: np.ndarray  # (B,) int64
 
 
-def make_batches(traces: Sequence[FeaturizedTrace], batch_size: int) -> list[Batch]:
-    """Deterministic batches, bucketed by length to limit padding."""
+def make_batches(traces: FeatureTable, batch_size: int) -> list[Batch]:
+    """Deterministic batches, bucketed by length to limit padding.
+
+    The traces are ordered by (length, user_id), ties kept in table order, and
+    each batch takes its traces' rows at once and pads them with zeros.
+    """
     if batch_size < 1:
         raise ModelError(f"batch_size must be >= 1, got {batch_size}")
-    ordered = sorted(traces, key=lambda t: (t.length, t.user_id))
+    order = np.lexsort((traces.user_id, traces.lengths))
     batches = []
-    for lo in range(0, len(ordered), batch_size):
-        chunk = ordered[lo : lo + batch_size]
-        B = len(chunk)
-        T = max(t.length for t in chunk)
-        behaviour = np.zeros((B, T, chunk[0].behaviour.shape[1]))
-        env_idx = np.zeros((B, T, len(ENV_FIELDS)), dtype=np.int64)
-        mask = np.zeros((B, T))
-        ab_mask = np.zeros((B, T))
-        targets = {name: np.zeros((B, T)) for name in TARGETS}
-        for i, ft in enumerate(chunk):
-            L = ft.length
-            behaviour[i, :L] = ft.behaviour
-            env_idx[i, :L] = ft.env_idx
-            mask[i, :L] = 1.0
-            ab_mask[i, :L] = ft.ab_mask
-            for name, field in TARGETS.items():
-                targets[name][i, :L] = getattr(ft, field)
+    for lo in range(0, len(order), batch_size):
+        chunk = traces.take(order[lo : lo + batch_size])
+        lengths = chunk.lengths
+        valid = np.arange(lengths.max()) < lengths[:, None]  # (B, T)
+
+        def padded(rows: np.ndarray) -> np.ndarray:
+            out = np.zeros(valid.shape + rows.shape[1:], dtype=rows.dtype)
+            out[valid] = rows
+            return out
+
         batches.append(
             Batch(
-                behaviour=behaviour,
-                env_idx=env_idx,
-                game_idx=np.asarray([t.game_idx for t in chunk], dtype=np.int64),
-                mask=mask,
-                targets=targets,
-                ab_mask=ab_mask,
-                user_ids=[t.user_id for t in chunk],
-                game_ids=[t.game_id for t in chunk],
-                lengths=np.asarray([t.length for t in chunk], dtype=np.int64),
+                behaviour=padded(chunk.behaviour),
+                env_idx=padded(chunk.env_idx),
+                game_idx=chunk.game_idx,
+                mask=valid.astype(np.float64),
+                targets={name: padded(getattr(chunk, field)) for name, field in TARGETS.items()},
+                ab_mask=padded(chunk.ab_mask),
+                user_ids=chunk.user_id.tolist(),
+                game_ids=chunk.game_id.tolist(),
+                lengths=lengths,
             )
         )
     return batches
@@ -485,25 +482,18 @@ class TdEnet:
         X[np.arange(len(X))[:, None], hot] = 1.0
         return X
 
-    def fit(self, traces: Sequence[FeaturizedTrace]) -> "TdEnet":
+    def fit(self, traces: FeatureTable) -> "TdEnet":
         if not traces:
             raise ModelError("TdEnet.fit requires at least one trace")
-        behaviour = np.concatenate([t.behaviour for t in traces])
-        hot = self._hot_columns(
-            np.concatenate([t.env_idx for t in traces]),
-            np.repeat([t.game_idx for t in traces], [t.length for t in traces]),
-        )
-        targets = {name: np.concatenate([getattr(t, field) for t in traces])
-                   for name, field in TARGETS.items()}
+        behaviour = traces.behaviour
+        hot = self._hot_columns(traces.env_idx, np.repeat(traces.game_idx, traces.lengths))
         # Absence is fitted where it is observed only; with no such row its weights are 0.
-        observed = np.concatenate([t.ab_mask for t in traces]) > 0
+        observed = traces.ab_mask > 0
         X_all = self._design(behaviour, hot)
         X_observed = self._design(behaviour[observed], hot[observed])
-        for name in TARGETS:
-            if name == "ab":
-                X, y = X_observed, targets[name][observed]
-            else:
-                X, y = X_all, targets[name]
+        for name, field in TARGETS.items():
+            y = getattr(traces, field)
+            X, y = (X_observed, y[observed]) if name == "ab" else (X_all, y)
             fit = enet_solve(
                 X,
                 y,
@@ -586,8 +576,8 @@ def train(
     model,
     split: DatasetSplit,
     config: TrainConfig,
-    train_traces: Optional[Sequence[FeaturizedTrace]] = None,
-    val_traces: Optional[Sequence[FeaturizedTrace]] = None,
+    train_traces: Optional[FeatureTable] = None,
+    val_traces: Optional[FeatureTable] = None,
 ) -> list[dict]:
     """Train a gradient model with early stopping on a held-out user subset.
 
@@ -711,7 +701,7 @@ def evaluate_outputs(
     return EvalReport(overall=overall, cells=cells)
 
 
-def evaluate(model, traces: Sequence[FeaturizedTrace], batch_size: int = 64) -> EvalReport:
+def evaluate(model, traces: FeatureTable, batch_size: int = 64) -> EvalReport:
     """Masked per-target losses of a trained model on held-out traces."""
     if not traces:
         raise ModelError("evaluate requires a non-empty test split")
@@ -725,7 +715,7 @@ def evaluate(model, traces: Sequence[FeaturizedTrace], batch_size: int = 64) -> 
 
 
 def extract_embedding(
-    model: MelchiorModel, traces: Sequence[FeaturizedTrace], batch_size: int = 64
+    model: MelchiorModel, traces: FeatureTable, batch_size: int = 64
 ) -> tuple[list[str], np.ndarray]:
     """Each user's salience state after their final session, from a plain forward pass.
 

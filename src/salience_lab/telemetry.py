@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import csvio
+from .ragged import RaggedTable, TraceView
 
 MINUTES_PER_DAY = 1440
 
@@ -104,16 +105,35 @@ class LatentPlayerState:
 LATENT_COLUMNS = ("salience", "reward")
 
 
+@dataclass(frozen=True)
+class PlayerTrace(TraceView):
+    """One (user, game) trace of a SessionTable, viewed in place (see TraceView)."""
+
+    @property
+    def user_id(self) -> str:
+        return str(self.table.user_id[self.table.offsets[self.index]])
+
+    @property
+    def game_id(self) -> str:
+        return str(self.table.game_id[self.table.offsets[self.index]])
+
+    total_sessions = TraceView.length
+
+
 @dataclass(frozen=True, eq=False)
-class SessionTable:
+class SessionTable(RaggedTable):
     """The sessions of many (user, game) traces, held as columns.
 
     The row columns are those of the telemetry CSV (CSV_COLUMNS), with
     start_utc as int64 epoch-minutes, and optionally the LATENT_COLUMNS (None
     for ingested telemetry).  Trace i is rows offsets[i]:offsets[i + 1], in
     start order; completed[i] says whether it ended by completing its game.
-    Iterating the table, or indexing it, gives PlayerTrace views.
+    Iterating the table, or an int index, gives PlayerTrace views.
     """
+
+    ROW_COLUMNS = CSV_COLUMNS + LATENT_COLUMNS
+    TRACE_COLUMNS = ("completed",)
+    VIEW = PlayerTrace
 
     user_id: np.ndarray
     game_id: np.ndarray
@@ -129,48 +149,10 @@ class SessionTable:
     salience: Optional[np.ndarray] = None
     reward: Optional[np.ndarray] = None
 
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, index: int) -> "PlayerTrace":
-        return PlayerTrace(self, range(len(self))[index])
-
-    def __iter__(self) -> Iterator["PlayerTrace"]:
-        return (PlayerTrace(self, i) for i in range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SessionTable):
-            return NotImplemented
-        return all(
-            (a is None and b is None) or (a is not None and b is not None and np.array_equal(a, b))
-            for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-        )
-
-    @property
-    def first_rows(self) -> np.ndarray:
-        """The row index of each trace's first session."""
-        return self.offsets[:-1]
-
-    @property
-    def last_rows(self) -> np.ndarray:
-        """The row index of each trace's last session."""
-        return self.offsets[1:] - 1
-
-    def take(self, traces: Sequence[int] | np.ndarray) -> "SessionTable":
-        """A table of the given traces, in the given order."""
-        traces = np.asarray(traces, dtype=np.int64)
-        lengths = np.diff(self.offsets)[traces]
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[traces] - offsets[:-1], lengths)
-        return SessionTable(
-            **{name: None if (column := getattr(self, name)) is None else column[rows]
-               for name in CSV_COLUMNS + LATENT_COLUMNS},
-            offsets=offsets, completed=self.completed[traces])
-
     def validate(self) -> None:
         """Check the table's shape and each session's invariants, with array operations."""
         n = len(self.user_id)
-        lengths = np.diff(self.offsets)
+        lengths = self.lengths
         if self.offsets[0] != 0 or self.offsets[-1] != n or (lengths < 1).any():
             raise TelemetryError("SessionTable offsets must run from 0 to the row count "
                                  "and give every trace a session")
@@ -191,45 +173,6 @@ class SessionTable:
         ):
             if bad.any():
                 raise TelemetryError(f"trace {self.user_id[first[np.argmax(bad)]]}: {problem}")
-
-
-@dataclass(frozen=True)
-class PlayerTrace:
-    """One (user, game) trace of a SessionTable, viewed in place.
-
-    Each row column of the table (start_utc, session_time, ..., and salience
-    and reward where the table holds them) reads as this trace's slice of it.
-    """
-
-    table: SessionTable
-    index: int
-
-    @property
-    def rows(self) -> slice:
-        start, stop = self.table.offsets[self.index:self.index + 2].tolist()
-        return slice(start, stop)
-
-    @property
-    def user_id(self) -> str:
-        return str(self.table.user_id[self.table.offsets[self.index]])
-
-    @property
-    def game_id(self) -> str:
-        return str(self.table.game_id[self.table.offsets[self.index]])
-
-    @property
-    def completed(self) -> bool:
-        return bool(self.table.completed[self.index])
-
-    @property
-    def total_sessions(self) -> int:
-        return int(self.table.offsets[self.index + 1] - self.table.offsets[self.index])
-
-    def __getattr__(self, name: str):
-        if name not in CSV_COLUMNS + LATENT_COLUMNS:
-            raise AttributeError(f"PlayerTrace has no attribute {name!r}")
-        column = getattr(self.table, name)
-        return None if column is None else column[self.rows]
 
 
 def env_stamp(start_utc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -441,10 +384,8 @@ def write_latent_csv(traces: SessionTable, path: str | Path) -> None:
     if traces.salience is None:
         csvio.write_columns(Path(path), header, [[]] * len(header))
         return
-    session_index = np.arange(len(traces.user_id)) + 1 - np.repeat(traces.first_rows,
-                                                                  np.diff(traces.offsets))
     csvio.write_columns(Path(path), header,
-                        [traces.user_id, session_index, traces.salience, traces.reward])
+                        [traces.user_id, traces.session_index, traces.salience, traces.reward])
 
 
 def read_latent_csv(path: str | Path) -> dict[str, list[tuple[float, float]]]:

@@ -1,5 +1,5 @@
-"""Trace builders and a table joiner, ids that need CSV quoting, a deadline, a
-relative error and the acceptance verdict log shared by the test modules.
+"""Trace and feature-table builders and a table joiner, ids that need CSV quoting, a
+deadline, a relative error and the acceptance verdict log shared by the test modules.
 
 Test modules import these by name; conftest.py keeps only pytest hooks and
 fixtures, so two conftest.py files on the import path never shadow each other.
@@ -8,11 +8,14 @@ fixtures, so two conftest.py files on the import path never shadow each other.
 from __future__ import annotations
 
 import contextlib
+import functools
+import operator
 import signal
 
 import numpy as np
 
-from salience_lab.telemetry import CSV_COLUMNS, LATENT_COLUMNS, SessionTable
+from salience_lab.features import FeatureTable
+from salience_lab.telemetry import SessionTable
 
 #: Verdict lines recorded by the acceptance suite; conftest.py echoes them
 #: after the run so they stay visible without -s.
@@ -55,16 +58,53 @@ def make_trace(
 
 def join(tables) -> SessionTable:
     """One table holding the traces of the given tables, in order."""
-    tables = list(tables)
-    lengths = np.concatenate([np.diff(t.offsets) for t in tables])
-    latent = {name: None if any(getattr(t, name) is None for t in tables)
-              else np.concatenate([getattr(t, name) for t in tables]) for name in LATENT_COLUMNS}
-    return SessionTable(
-        **{name: np.concatenate([getattr(t, name) for t in tables]) for name in CSV_COLUMNS},
-        **latent,
-        offsets=np.concatenate(([0], np.cumsum(lengths))),
-        completed=np.concatenate([t.completed for t in tables]),
-    )
+    return functools.reduce(operator.add, tables)
+
+
+def feature_table(lengths, **columns) -> FeatureTable:
+    """A FeatureTable of traces of the given lengths, from whole-table arrays.
+
+    columns gives any column of the table by name: a row column with one entry
+    per row, user_id, game_id or game_idx with one entry per trace or one for
+    all.  An absent row column is zeros; users are u0, u1, ..., the game "g" of
+    index 1.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n = int(lengths.sum())
+    kinds = {**dict.fromkeys(FeatureTable.ROW_COLUMNS, np.float64), "env_idx": np.int64}
+    table = {
+        **{name: np.zeros(n) for name in kinds},
+        "behaviour": np.zeros((n, 5)),
+        "env_idx": np.zeros((n, 4)),
+        "user_id": [f"u{i}" for i in range(len(lengths))],
+        "game_id": "g",
+        "game_idx": 1,
+        **columns,
+    }
+    for name, kind in kinds.items():
+        table[name] = np.asarray(table[name], dtype=kind)
+    for name, kind in (("user_id", str), ("game_id", str), ("game_idx", np.int64)):
+        table[name] = np.broadcast_to(np.asarray(table[name], dtype=kind), lengths.shape).copy()
+    return FeatureTable(**table, offsets=np.concatenate(([0], np.cumsum(lengths))))
+
+
+def awkward_table() -> SessionTable:
+    """Length-1 traces, a user in two games, tied gaps and play times, odd ids and big
+    starts, joined out of (user, game) order."""
+    rng = np.random.default_rng(3)
+    tables = [
+        make_trace("u9", "beta", [5000], [12.0]),
+        make_trace("u1", "beta", [0, 100, 200, 300], [10.0] * 4, [8.0] * 4, completed=True),
+        make_trace("u1", "alpha", [50, 150, 250], [10.0] * 3, [8.0] * 3, region="na"),
+        make_trace("u0", "alpha", [7], [3.0], region="jp"),
+        make_trace("u5", "alpha", [2**53 + 1, 2**53 + 500, 2**60], [30.0, 1.0, 9.5]),
+        make_trace(ODD_IDS[0], ODD_IDS[1], [10, 90, 90 + 1440 * 200], [20.0, 5.0, 7.0],
+                   region=ODD_IDS[2]),
+        make_trace("u1", ODD_IDS[1], [1_000_000, 1_000_060], [50.0, 10.0]),
+    ]
+    tables += [random_trace(rng, f"r{i}", game_id=("alpha", "beta", ODD_IDS[1])[i % 3])
+               for i in range(60)]
+    return join(tables[::-1])
 
 
 def random_trace(rng: np.random.Generator, user_id: str, game_id: str = "g") -> SessionTable:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from helpers import feature_table
 from salience_lab.analysis import (
     AnalysisError,
     elbow_select,
@@ -286,4 +289,54 @@ def test_profile_single_member_cluster_mean_only():
 
 def test_profile_unknown_user_errors():
     with pytest.raises(AnalysisError):
-        profile_partitions({"ghost": 0}, [], None)
+        profile_partitions({"ghost": 0}, feature_table([]), None)
+
+
+def _reference_profile(assignments, traces, scaler, max_session_index=20):
+    """profile_partitions one member trace at a time, through a by-user dict."""
+    from salience_lab.features import BEHAVIOUR_FIELDS, TARGETS, invert_scaler, target_medians
+
+    by_user = {t.user_id: t.index for t in traces}
+    clusters = {}
+    for cid in sorted(set(assignments.values())):
+        picked = sorted((by_user[u] for u, c in assignments.items() if c == cid),
+                        key=lambda i: traces[i].user_id)
+        members = [traces[i] for i in picked]
+        t_max = min(max_session_index, max(m.length for m in members))
+        unscaled = [np.stack([invert_scaler(scaler, name, m.behaviour[:t_max, j])
+                              for j, name in enumerate(BEHAVIOUR_FIELDS)], axis=1)
+                    for m in members]
+        curves = {}
+        for j, name in enumerate(BEHAVIOUR_FIELDS):
+            curves[name] = []
+            for t in range(t_max):
+                values = np.asarray([u[t, j] for u in unscaled if len(u) > t])
+                half = (1.96 * float(values.std(ddof=1)) / math.sqrt(values.size)
+                        if values.size > 1 else None)
+                curves[name].append({"session": t + 1, "mean": float(values.mean()),
+                                     "ci": half, "n": int(values.size)})
+        targets = {}
+        for name, medians in zip(TARGETS, target_medians(traces.take(picked), scaler).T):
+            values = medians[~np.isnan(medians)]
+            targets[name] = None if not values.size else dict(zip(
+                ("q1", "q2", "q3"), np.quantile(values, [0.25, 0.5, 0.75]).tolist()))
+        clusters[cid] = {"count": len(members), "curves": curves, "targets": targets}
+    return clusters
+
+
+def test_profile_partitions_equal_the_per_member_reference():
+    from salience_lab.features import build_dataset
+    from salience_lab.telemetry import GameSpec, simulate_population
+
+    games = [GameSpec("alpha", base_quality=0.7, completion_sessions=12),
+             GameSpec("beta", base_quality=0.4, noise_sd=0.2)]
+    traces = simulate_population(games, players_per_game=15, calendar_start=0,
+                                 horizon_days=12, seed=4)
+    split = build_dataset(traces, ratio=0.6, seed=4)
+    # every third trace left out; clusters by game and length
+    assignments = {t.user_id: t.game_idx * 10 + min(t.length // 6, 2)
+                   for t in split.traces if t.index % 3}
+    assert len(set(assignments.values())) >= 4
+    for limit in (3, 20):
+        ours = profile_partitions(assignments, split.traces, split.scaler, limit).clusters
+        assert ours == _reference_profile(assignments, split.traces, split.scaler, limit)

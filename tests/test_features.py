@@ -19,7 +19,6 @@ from salience_lab.features import (
     WEEKDAY_VOCAB,
     YEARDAY_VOCAB,
     FeatureError,
-    FeaturizedTrace,
     ScalerStats,
     Vocabularies,
     build_dataset,
@@ -35,7 +34,7 @@ from salience_lab.features import (
     split_users,
     target_medians,
 )
-from helpers import ODD_IDS, join, make_trace, random_trace
+from helpers import ODD_IDS, awkward_table, feature_table, make_trace, random_trace
 
 
 # -- inactivity threshold ----------------------------------------------------
@@ -192,9 +191,21 @@ def test_scaler_inverse():
 def test_vocab_sorted_with_oov():
     vocab = build_vocab(["na", "eu", "na"])
     assert vocab.tokens == ("eu", "na")
-    assert [vocab.encode(t) for t in vocab.tokens] == [1, 2]
+    assert vocab.codes(np.array(vocab.tokens)).tolist() == [1, 2]
     assert vocab.size == 3
-    assert vocab.encode("jp") == 0
+    assert vocab.codes(np.array(["jp"])).tolist() == [0]
+
+
+def test_vocab_codes_equal_a_token_lookup():
+    rng = np.random.default_rng(2)
+    for tokens, values in ((range(0, 40, 3), rng.integers(-5, 45, 200)),
+                           (["eu", "na", "sa"], np.array(["na", "", "eu", "zz", "sa", "a"])),
+                           ([], np.array([1, 2]))):
+        vocab = build_vocab(tokens)
+        lookup = {token: i for i, token in enumerate(vocab.tokens, start=1)}
+        codes = vocab.codes(values)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [lookup.get(value, 0) for value in values.tolist()]
 
 
 def test_hour_vocab_size():
@@ -311,16 +322,15 @@ def _assert_same_traces(ours, theirs):
 
 
 def test_ids_that_need_quoting_round_trip(tmp_path, dataset):
-    def renamed(ft, i):
-        return dataclasses.replace(ft, user_id=ODD_IDS[i % len(ODD_IDS)] + str(i),
-                                   game_id=ODD_IDS[(i + 3) % len(ODD_IDS)])
+    def renamed(traces, ids):  # trace k under odd ids from ids[k], in (user, game) order
+        users = np.array([ODD_IDS[i % len(ODD_IDS)] + str(i) for i in ids])
+        games = np.array([ODD_IDS[(i + 3) % len(ODD_IDS)] for i in ids])
+        return dataclasses.replace(traces, user_id=users, game_id=games).take(
+            np.lexsort((games, users)))
 
-    odd = dataclasses.replace(
-        dataset,
-        train=sorted((renamed(ft, i) for i, ft in enumerate(dataset.train)),
-                     key=lambda t: (t.user_id, t.game_id)),
-        test=sorted((renamed(ft, -1 - i) for i, ft in enumerate(dataset.test)),
-                    key=lambda t: (t.user_id, t.game_id)))
+    train = renamed(dataset.train, range(len(dataset.train)))
+    test = renamed(dataset.test, [-1 - i for i in range(len(dataset.test))])
+    odd = dataclasses.replace(dataset, traces=train + test, n_train=len(train))
     save_dataset(odd, tmp_path / "ds")
     loaded = load_dataset(tmp_path / "ds")
     _assert_same_traces(loaded.train, odd.train)
@@ -329,10 +339,13 @@ def test_ids_that_need_quoting_round_trip(tmp_path, dataset):
 
 def test_round_trip_across_write_chunks(tmp_path, dataset):
     # copies under new user ids, so the train split spans several write chunks
-    many = [dataclasses.replace(ft, user_id=f"{ft.user_id}-{k}")
-            for ft in dataset.train for k in range(6)]
+    train = dataset.train
+    many = dataclasses.replace(
+        train.take(np.repeat(np.arange(len(train)), 6)),
+        user_id=np.array([f"{user}-{k}" for user in train.user_id.tolist() for k in range(6)]))
     assert sum(ft.length for ft in many) > 2 * 4096
-    save_dataset(dataclasses.replace(dataset, train=many), tmp_path / "ds")
+    save_dataset(dataclasses.replace(dataset, traces=many + dataset.test, n_train=len(many)),
+                 tmp_path / "ds")
     _assert_same_traces(load_dataset(tmp_path / "ds").train, many)
 
 
@@ -358,12 +371,13 @@ def test_chunks_cover_the_items_in_order_and_close_at_the_limit(tmp_path, monkey
 
 
 def test_header_only_split_loads_empty_without_warning(tmp_path, dataset):
-    save_dataset(dataclasses.replace(dataset, test=[]), tmp_path / "ds")
+    save_dataset(dataclasses.replace(dataset, traces=dataset.train, n_train=len(dataset.train)),
+                 tmp_path / "ds")
     assert (tmp_path / "ds" / "test.csv").read_text(encoding="utf-8").count("\n") == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         loaded = load_dataset(tmp_path / "ds")
-    assert loaded.test == []
+    assert len(loaded.test) == 0
     _assert_same_traces(loaded.train, dataset.train)
 
 
@@ -402,13 +416,8 @@ def test_malformed_number_names_its_line(tmp_path, dataset, column, value):
 
 
 def _featurized(churn, st, ss, ab, ab_mask):
-    n = len(churn)
-    return FeaturizedTrace(
-        user_id="u", game_id="g", game_idx=1, behaviour=np.zeros((n, 5)),
-        env_idx=np.zeros((n, 4), dtype=np.int64), churn=np.asarray(churn, dtype=float),
-        survival_time=np.asarray(st, dtype=float), survival_sessions=np.asarray(ss, dtype=float),
-        absence=np.asarray(ab, dtype=float), ab_mask=np.asarray(ab_mask, dtype=float),
-    )
+    return feature_table([len(churn)], user_id="u", churn=churn, survival_time=st,
+                         survival_sessions=ss, absence=ab, ab_mask=ab_mask)
 
 
 def test_target_medians_unscale_each_target_and_skip_masked_absence():
@@ -417,12 +426,12 @@ def test_target_medians_unscale_each_target_and_skip_masked_absence():
     trace = _featurized(churn=[0.5] * 4, st=[1.0, 0.5, 0.25, 0.0], ss=[0.75, 0.5, 0.25, 0.0],
                         ab=[0.0, 1.0, 0.5, 0.0], ab_mask=[1, 1, 1, 0])
     # unscaled: st 30, 20, 15, 10; ss 3, 2, 1, 0; observed ab 2, 6, 4
-    assert target_medians([trace], scaler).tolist() == [[0.5, 17.5, 1.5, 4.0]]
+    assert target_medians(trace, scaler).tolist() == [[0.5, 17.5, 1.5, 4.0]]
 
 
 def test_target_medians_of_a_length_one_trace_has_no_absence():
     scaler = ScalerStats(names=("st", "ss", "ab"), mins=(0.0, 0.0, 0.0), maxs=(1.0, 1.0, 1.0))
-    medians = target_medians([_featurized([1.0], [0.0], [0.0], [0.0], [0.0])], scaler)
+    medians = target_medians(_featurized([1.0], [0.0], [0.0], [0.0], [0.0]), scaler)
     assert medians.shape == (1, 4)
     assert medians[0, :3].tolist() == [1.0, 0.0, 0.0]
     assert np.isnan(medians[0, 3])
@@ -448,22 +457,26 @@ def test_target_medians_equal_np_median_per_trace():
     rng = np.random.default_rng(11)
     scaler = ScalerStats(names=("st", "ss", "ab"), mins=(3.0, 0.0, -1.5),
                          maxs=(2000.0, 21.0, 7.0e4))
-    traces = []
-    for n in [1, 2, 3, 4] + rng.integers(1, 23, size=300).tolist():
+    lengths = [1, 2, 3, 4] + rng.integers(1, 23, size=300).tolist()
+    parts = []
+    for n in lengths:
         ab_mask = (rng.random(n) < 0.7).astype(float)
         # ties and repeated values, as remaining-session counts and churn have
-        traces.append(_featurized(
-            churn=[rng.choice([0.0, 0.5, 1.0])] * n, st=rng.random(n),
-            ss=np.round(rng.random(n), 1), ab=rng.random(n) * ab_mask, ab_mask=ab_mask))
-    for trace in traces[5:7]:  # a nan anywhere in a trace makes its median nan
-        trace.survival_time[0] = np.nan
+        parts.append({"churn": [rng.choice([0.0, 0.5, 1.0])] * n,
+                      "survival_time": rng.random(n),
+                      "survival_sessions": np.round(rng.random(n), 1),
+                      "absence": rng.random(n) * ab_mask, "ab_mask": ab_mask})
+    for part in parts[5:7]:  # a nan anywhere in a trace makes its median nan
+        part["survival_time"][0] = np.nan
+    traces = feature_table(lengths, **{name: np.concatenate([part[name] for part in parts])
+                                       for name in parts[0]})
     table = target_medians(traces, scaler)
     assert table.shape == (len(traces), 4)
     for trace, row in zip(traces, table):
         expected = _reference_target_medians(trace, scaler)
         np.testing.assert_array_equal(row, [np.nan if m is None else m for m in expected])
     assert np.isnan(table[:, 3]).any() and np.isnan(table[5:7, 1]).all()
-    assert target_medians([], scaler).shape == (0, 4)
+    assert target_medians(traces[:0], scaler).shape == (0, 4)
 
 
 def test_dataset_requires_traces():
@@ -472,6 +485,22 @@ def test_dataset_requires_traces():
 
 
 # -- columnar featurization against the per-trace reference ---------------------
+
+
+@dataclasses.dataclass
+class _Featurized:
+    """One trace of the per-trace reference build."""
+
+    user_id: str
+    game_id: str
+    game_idx: int
+    behaviour: np.ndarray
+    env_idx: np.ndarray
+    churn: np.ndarray
+    survival_time: np.ndarray
+    survival_sessions: np.ndarray
+    absence: np.ndarray
+    ab_mask: np.ndarray
 
 
 def _reference_build_dataset(traces, ratio, seed, observation_end=None):
@@ -496,6 +525,9 @@ def _reference_build_dataset(traces, ratio, seed, observation_end=None):
         hour=HOUR_VOCAB, weekday=WEEKDAY_VOCAB, yearday=YEARDAY_VOCAB,
         region=build_vocab(r for t in train_raw for r in t.region.tolist()),
         game=build_vocab(t.game_id for t in train_raw))
+    # each token's sorted position from 1; 0 out of vocabulary
+    lookup = {name: {token: i for i, token in enumerate(getattr(vocabs, name).tokens, start=1)}
+              for name in ("hour", "weekday", "yearday", "region", "game")}
 
     def raw_arrays(t):
         n = t.total_sessions
@@ -532,16 +564,17 @@ def _reference_build_dataset(traces, ratio, seed, observation_end=None):
         env_idx = []
         for start, region in zip(t.start_utc.tolist(), t.region.tolist()):
             moment = time.gmtime(60 * (start % (146097 * 1440)))
-            env_idx.append((vocabs.hour.encode(moment.tm_hour),
-                            vocabs.weekday.encode(moment.tm_wday),
-                            vocabs.yearday.encode(moment.tm_yday), vocabs.region.encode(region)))
+            env_idx.append((lookup["hour"].get(moment.tm_hour, 0),
+                            lookup["weekday"].get(moment.tm_wday, 0),
+                            lookup["yearday"].get(moment.tm_yday, 0),
+                            lookup["region"].get(region, 0)))
         for name, field in TARGETS.items():
             if name != "ch":
                 targets[field] = apply_scaler(scaler, name, targets[field])
         targets["absence"] *= targets["ab_mask"]
-        return FeaturizedTrace(user_id=t.user_id, game_id=t.game_id,
-                               game_idx=vocabs.game.encode(t.game_id), behaviour=behaviour,
-                               env_idx=np.asarray(env_idx, dtype=np.int64), **targets)
+        return _Featurized(user_id=t.user_id, game_id=t.game_id,
+                           game_idx=lookup["game"].get(t.game_id, 0), behaviour=behaviour,
+                           env_idx=np.asarray(env_idx, dtype=np.int64), **targets)
 
     return (
         [featurize(t, *arrays) for t, arrays in zip(train_raw, train_arrays)],
@@ -564,28 +597,9 @@ def _assert_same_split(split, reference):
                 assert np.array_equal(x, y) and x.tobytes() == y.tobytes(), field
 
 
-def _awkward_table():
-    """Length-1 traces, a user in two games, tied gaps and play times, odd ids and big
-    starts, joined out of (user, game) order."""
-    rng = np.random.default_rng(3)
-    tables = [
-        make_trace("u9", "beta", [5000], [12.0]),
-        make_trace("u1", "beta", [0, 100, 200, 300], [10.0] * 4, [8.0] * 4, completed=True),
-        make_trace("u1", "alpha", [50, 150, 250], [10.0] * 3, [8.0] * 3, region="na"),
-        make_trace("u0", "alpha", [7], [3.0], region="jp"),
-        make_trace("u5", "alpha", [2**53 + 1, 2**53 + 500, 2**60], [30.0, 1.0, 9.5]),
-        make_trace(ODD_IDS[0], ODD_IDS[1], [10, 90, 90 + 1440 * 200], [20.0, 5.0, 7.0],
-                   region=ODD_IDS[2]),
-        make_trace("u1", ODD_IDS[1], [1_000_000, 1_000_060], [50.0, 10.0]),
-    ]
-    tables += [random_trace(rng, f"r{i}", game_id=("alpha", "beta", ODD_IDS[1])[i % 3])
-               for i in range(60)]
-    return join(tables[::-1])
-
-
 @pytest.mark.parametrize("ratio, seed", [(0.8, 0), (0.5, 3), (0.3, 11)])
 def test_columnar_build_dataset_equals_the_per_trace_reference(ratio, seed):
-    table = _awkward_table()
+    table = awkward_table()
     _assert_same_split(build_dataset(table, ratio=ratio, seed=seed),
                        _reference_build_dataset(table, ratio, seed))
     _assert_same_split(build_dataset(table, ratio=ratio, seed=seed, observation_end=3e18),
@@ -596,3 +610,28 @@ def test_columnar_build_dataset_equals_the_per_trace_reference_on_a_population(
         small_population_module):
     _assert_same_split(build_dataset(small_population_module, ratio=0.8, seed=5),
                        _reference_build_dataset(small_population_module, 0.8, 5))
+
+
+@pytest.mark.parametrize("kind", ["sessions", "features"])
+def test_table_slices_take_and_int_indices_wrap_or_raise(kind):
+    table = awkward_table()
+    if kind == "features":
+        table = build_dataset(table, ratio=0.5, seed=3).traces
+    n = len(table)
+    assert table[1:3] == table.take(range(1, 3)) == table.take([1, 2])
+    assert table[-4:] == table.take(range(n - 4, n)) == table.take(list(range(n - 4, n)))
+    assert table[::-2] == table.take(range(n - 1, -1, -2))
+    assert len(table[5:2]) == 0 and len(table[n:]) == 0
+    sliced = table[1:3]
+    for a, b in zip(sliced, (table[1], table[2])):
+        assert (a.user_id, a.game_id, a.length) == (b.user_id, b.game_id, b.length)
+        assert isinstance(a.user_id, str) and a.rows.stop - a.rows.start == b.length
+    for name in table.ROW_COLUMNS:  # a step-1 slice views the table's rows
+        if getattr(table, name) is not None:
+            assert np.shares_memory(getattr(sliced, name), getattr(table, name)), name
+    last = table[-1]
+    assert last.index == n - 1 and last.length == table.lengths[-1]
+    assert table[-n].index == 0
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            table[index]

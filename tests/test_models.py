@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,8 +9,9 @@ import re
 import numpy as np
 import pytest
 
-from helpers import max_rel
+from helpers import awkward_table, feature_table, join, make_trace, max_rel
 from salience_lab import models
+from salience_lab.features import TARGETS as FEATURE_TARGETS
 from salience_lab.features import build_dataset, split_users
 from salience_lab.models import (
     ArchConfig,
@@ -272,6 +274,64 @@ def test_make_batches_padding_and_mask(dataset):
     assert seen == len(dataset.train)
 
 
+def _reference_make_batches(traces, batch_size):
+    """make_batches one trace at a time: a sort of the trace views, then a loop per trace."""
+    ordered = sorted(traces, key=lambda t: (t.length, t.user_id))
+    batches = []
+    for lo in range(0, len(ordered), batch_size):
+        chunk = ordered[lo : lo + batch_size]
+        B = len(chunk)
+        T = max(t.length for t in chunk)
+        behaviour = np.zeros((B, T, chunk[0].behaviour.shape[1]))
+        env_idx = np.zeros((B, T, 4), dtype=np.int64)
+        mask = np.zeros((B, T))
+        ab_mask = np.zeros((B, T))
+        targets = {name: np.zeros((B, T)) for name in TARGETS}
+        for i, ft in enumerate(chunk):
+            L = ft.length
+            behaviour[i, :L] = ft.behaviour
+            env_idx[i, :L] = ft.env_idx
+            mask[i, :L] = 1.0
+            ab_mask[i, :L] = ft.ab_mask
+            for name, field in FEATURE_TARGETS.items():
+                targets[name][i, :L] = getattr(ft, field)
+        batches.append(Batch(
+            behaviour=behaviour, env_idx=env_idx,
+            game_idx=np.asarray([t.game_idx for t in chunk], dtype=np.int64), mask=mask,
+            targets=targets, ab_mask=ab_mask, user_ids=[t.user_id for t in chunk],
+            game_ids=[t.game_id for t in chunk],
+            lengths=np.asarray([t.length for t in chunk], dtype=np.int64)))
+    return batches
+
+
+def test_make_batches_equal_the_per_trace_loop():
+    # u7 has two traces of one length in two games: a tie on (length, user_id)
+    table = join([awkward_table(), make_trace("u7", "beta", [0, 500], [9.0, 4.0]),
+                  make_trace("u7", "alpha", [20, 900], [3.0, 8.0])])
+    split = build_dataset(table, ratio=0.5, seed=3)
+    for traces in (split.traces, split.train, split.test):
+        for batch_size in (1, 7, 32, len(traces) + 5):
+            ours = make_batches(traces, batch_size)
+            theirs = _reference_make_batches(traces, batch_size)
+            assert len(ours) == len(theirs)
+            for a, b in zip(ours, theirs):
+                for field in dataclasses.fields(Batch):
+                    x, y = getattr(a, field.name), getattr(b, field.name)
+                    if field.name == "targets":
+                        assert list(x) == list(y)
+                        x, y = list(x.values()), list(y.values())
+                    else:
+                        x, y = [x], [y]
+                    for p, q in zip(x, y):
+                        if isinstance(q, list):
+                            assert type(p) is list and p == q, field.name
+                        else:
+                            assert p.dtype == q.dtype and p.shape == q.shape, field.name
+                            assert (p == q).all(), field.name
+    u7 = [batch.game_ids for batch in make_batches(split.traces, 1) if batch.user_ids == ["u7"]]
+    assert u7 == [["alpha"], ["beta"]]
+
+
 # -- melchior forward contracts ----------------------------------------------------
 
 
@@ -337,7 +397,7 @@ def test_full_model_gradcheck(dataset):
     tiny = ArchConfig(hidden_width=8, d_z=4, layers=1, emb_dim=2)
     model = MelchiorModel(dataset.vocabs, tiny, seed=1)
     # 2 users x <=3 steps toy batch
-    short = sorted(dataset.train, key=lambda t: t.length)[:2]
+    short = dataset.train.take(np.argsort(dataset.train.lengths, kind="stable")[:2])
     batch = make_batches(short, 2)[0]
     batch.behaviour = batch.behaviour[:, :3]
     batch.env_idx = batch.env_idx[:, :3]
@@ -508,10 +568,12 @@ def _reference_train(model, split, config):
     step, and a dict snapshot of the best weights."""
     fit_users, val_users = split_users([t.user_id for t in split.train],
                                        1.0 - config.val_fraction, config.seed)
-    train_batches = make_batches([t for t in split.train if t.user_id in fit_users],
-                                 config.batch_size)
-    val_batches = make_batches([t for t in split.train if t.user_id in val_users],
-                               config.batch_size)
+    train_batches = make_batches(
+        split.train.take([t.index for t in split.train if t.user_id in fit_users]),
+        config.batch_size)
+    val_batches = make_batches(
+        split.train.take([t.index for t in split.train if t.user_id in val_users]),
+        config.batch_size)
     params, grads = model.params(), model.grads()
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
@@ -596,9 +658,9 @@ def test_train_config_validation():
 
 def test_overfit_tiny_batch(dataset):
     """A handful of hard-labelled users must be nearly memorised quickly."""
-    chosen = [
-        t for t in dataset.train if t.churn[0] in (0.0, 1.0) and t.length >= 20
-    ][:8]
+    chosen = dataset.train.take([
+        t.index for t in dataset.train if t.churn[0] in (0.0, 1.0) and t.length >= 20
+    ][:8])
     assert len(chosen) == 8, "benchmark population must provide 8 long hard-label users"
     cfg = TrainConfig(epochs=500, batch_size=8, lr=1e-2, patience=500, seed=1,
                       val_fraction=0.2)
@@ -609,19 +671,12 @@ def test_overfit_tiny_batch(dataset):
 
 def test_batch_of_single_session_traces_trains(dataset):
     """No observed absence anywhere: the ab loss must drop out, not crash."""
-    import copy
-
-    singles = []
-    for t in dataset.train[:6]:
-        clone = copy.deepcopy(t)
-        clone.behaviour = clone.behaviour[:1]
-        clone.env_idx = clone.env_idx[:1]
-        clone.churn = clone.churn[:1]
-        clone.survival_time = np.zeros(1)
-        clone.survival_sessions = np.zeros(1)
-        clone.absence = np.zeros(1)
-        clone.ab_mask = np.zeros(1)
-        singles.append(clone)
+    donors = dataset.train[:6]
+    first = donors.first_rows
+    singles = feature_table(
+        [1] * 6, user_id=donors.user_id, game_id=donors.game_id, game_idx=donors.game_idx,
+        behaviour=donors.behaviour[first], env_idx=donors.env_idx[first],
+        churn=donors.churn[first])
     model = MelchiorModel(dataset.vocabs, SMALL_ARCH, seed=0)
     batch = make_batches(singles, 6)[0]
     model.zero_grads()
@@ -644,14 +699,11 @@ def test_evaluate_perfect_predictor_zero_smape(dataset):
 
 
 def test_evaluate_constant_half_churn_is_ln2(dataset):
-    import copy
-
     # force a population whose churn target is exactly 0.5 everywhere
-    keep = []
-    for t in dataset.test[:5]:
-        clone = copy.deepcopy(t)
-        clone.churn = np.full_like(clone.churn, 0.5)
-        keep.append(clone)
+    donors = dataset.test[:5]
+    keep = feature_table(donors.lengths, **{
+        **{name: getattr(donors, name) for name in donors.ROW_COLUMNS + donors.TRACE_COLUMNS},
+        "churn": np.full_like(donors.churn, 0.5)})
     batches = make_batches(keep, 16)
     outputs = []
     for batch in batches:
@@ -754,26 +806,21 @@ def test_extract_embedding_causal_prefix(dataset):
     donor = max(dataset.test, key=lambda t: t.length)
     if donor.length < 3:
         pytest.skip("trace too short")
-    import copy
-
-    truncated = copy.deepcopy(donor)
     cut = donor.length - 1
-    truncated.behaviour = truncated.behaviour[:cut]
-    truncated.env_idx = truncated.env_idx[:cut]
-    truncated.churn = truncated.churn[:cut]
-    truncated.survival_time = truncated.survival_time[:cut]
-    truncated.survival_sessions = truncated.survival_sessions[:cut]
-    truncated.absence = truncated.absence[:cut]
-    truncated.ab_mask = truncated.ab_mask[:cut]
-    model.forward(make_batches([donor], 1)[0])
+    full = dataset.test.take([donor.index])
+    truncated = feature_table([cut], user_id=donor.user_id, game_id=donor.game_id,
+                              game_idx=donor.game_idx,
+                              **{name: getattr(donor, name)[:cut]
+                                 for name in full.ROW_COLUMNS})
+    model.forward(make_batches(full, 1)[0])
     z_full = model.hidden_states[0].copy()
-    model.forward(make_batches([truncated], 1)[0])
+    model.forward(make_batches(truncated, 1)[0])
     z_cut = model.hidden_states[0].copy()
     assert z_full.shape == (donor.length, SMALL_ARCH.d_z)
     assert np.allclose(z_full[:cut], z_cut)
     # extract_embedding keeps exactly the state after each trace's final session
-    assert np.array_equal(extract_embedding(model, [donor])[1], z_full[-1:])
-    assert np.array_equal(extract_embedding(model, [truncated])[1], z_cut[-1:])
+    assert np.array_equal(extract_embedding(model, full)[1], z_full[-1:])
+    assert np.array_equal(extract_embedding(model, truncated)[1], z_cut[-1:])
 
 
 # -- persistence ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import deadline
+from helpers import deadline, feature_table
 from salience_lab import models, tuning
 from salience_lab.features import build_dataset, carve_validation
 from salience_lab.models import ModelError, TrainConfig, make_batches
@@ -98,12 +98,7 @@ class _StubSplit:
     """Minimal stand-in: hyperband only touches .train user ids."""
 
     def __init__(self, n_users=50):
-        self.train = [_StubTrace(f"u{i}") for i in range(n_users)]
-
-
-class _StubTrace:
-    def __init__(self, user_id):
-        self.user_id = user_id
+        self.train = feature_table([1] * n_users)
 
 
 def _loss_from_config(config):
