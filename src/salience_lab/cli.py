@@ -8,7 +8,6 @@ A rerun with identical inputs produces byte-identical CSV/JSON/SVG files.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import inspect
 import json
@@ -27,6 +26,11 @@ from .features import TARGETS, DatasetSplit, build_dataset, load_dataset, save_d
 from .models import ArchConfig, TrainConfig
 
 MODEL_KINDS = ("td_enet", "td_mlp", "melchior")
+
+#: Columns of the CSVs that report reads back, in order, with the type each is read as.
+_LOSSES_COLUMNS = {"model": str, "target": str, "loss": float}
+_EMBEDDING_2D_COLUMNS = {"user_id": str, "x": float, "y": float, "game": str, "ch": float,
+                         "median_st": float, "median_ss": float, "median_ab": float}
 
 
 class CliError(ValueError):
@@ -238,10 +242,7 @@ def load_config(path: Optional[str], overrides: Sequence[str], seed: Optional[in
         file = Path(path)
         if not file.exists():
             raise CliError(f"config file not found: {file}")
-        try:
-            config = json.loads(file.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config file {file} is not valid JSON: {exc}") from exc
+        config = _read_json(file)
     config = apply_overrides(config, overrides)
     if seed is not None:
         config["seed"] = seed
@@ -256,6 +257,20 @@ def _need(path: Path, hint: str) -> Path:
     if not path.exists():
         raise CliError(f"missing input {path} (run `{hint}` first)")
     return path
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise CliError(f"{path} is not a readable JSON file: {exc}") from exc
+
+
+def _read_csv(path: Path, columns: dict) -> dict[str, np.ndarray]:
+    """csvio.read_columns, whose error names the file also when it names a line."""
+    def error(message: str) -> CliError:
+        return CliError(message if message.startswith(f"{path}:") else f"{path}: {message}")
+    return csvio.read_columns(path, columns, error)
 
 
 def _load_split(out: Path) -> DatasetSplit:
@@ -350,6 +365,7 @@ def cmd_evaluate(config: dict, out: Path) -> None:
     if not split.test:
         raise CliError("evaluate: the test split is empty")
     model_dir = out / "models"
+    cell_columns = ("game", "session_index", "target", "loss", "count")
     rows = []
     cell_rows = []
     found = []
@@ -362,16 +378,12 @@ def cmd_evaluate(config: dict, out: Path) -> None:
         found.append((kind, report))
         for target in TARGETS:
             rows.append([kind, target, report.overall[target]])
-        cell_rows.extend([kind, *cell] for cell in report.cell_rows())
+        cell_rows.extend([kind, *(cell[name] for name in cell_columns)] for cell in report.cells)
     if not found:
         raise CliError(f"evaluate: no trained models under {model_dir}")
     eval_dir = out / "eval"
-    _write_csv(eval_dir / "losses.csv", ["model", "target", "loss"], _columns(rows))
-    _write_csv(
-        eval_dir / "cells.csv",
-        ["model", "game", "session_index", "target", "loss", "count"],
-        _columns(cell_rows),
-    )
+    _write_csv(eval_dir / "losses.csv", tuple(_LOSSES_COLUMNS), _columns(rows))
+    _write_csv(eval_dir / "cells.csv", ["model", *cell_columns], _columns(cell_rows))
     payload = {kind: report.overall for kind, report in found}
     (eval_dir / "report.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -408,7 +420,7 @@ def cmd_embed(config: dict, out: Path) -> None:
     medians[np.isnan(medians)] = 0.0  # absence never observed
     _write_csv(
         embed_dir / "embedding_2d.csv",
-        ["user_id", "x", "y", "game", "ch", "median_st", "median_ss", "median_ab"],
+        tuple(_EMBEDDING_2D_COLUMNS),
         [users, *coords[:, :2].T, traces.game_id[by_user], *medians.T],
     )
     print(f"embed: {len(users)} users -> {embed_dir / 'embedding_2d.csv'}")
@@ -434,39 +446,28 @@ def cmd_cluster(config: dict, out: Path) -> None:
 
 
 def cmd_report(config: dict, out: Path) -> None:
-    eval_path = _need(out / "eval" / "losses.csv", "evaluate")
-    embed_path = _need(out / "embed" / "embedding_2d.csv", "embed")
-    profiles_path = _need(out / "cluster" / "profiles.json", "cluster")
+    losses = _read_csv(_need(out / "eval" / "losses.csv", "evaluate"), _LOSSES_COLUMNS)
+    points = _read_csv(_need(out / "embed" / "embedding_2d.csv", "embed"), _EMBEDDING_2D_COLUMNS)
+    profile = _read_json(_need(out / "cluster" / "profiles.json", "cluster"))
     report_dir = out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
 
     # model comparison table (loss per model/target)
-    with eval_path.open(newline="", encoding="utf-8") as fh:
-        losses = list(csv.DictReader(fh))
-    by_target: dict[str, list] = {}
-    for row in losses:
-        by_target.setdefault(row["target"], []).append((row["model"], float(row["loss"])))
-    rows = []
-    for target in TARGETS:
-        entries = dict(by_target.get(target, []))
-        rows.append(
-            [target]
-            + [(repr(entries[k]) if k in entries else "") for k in MODEL_KINDS]
-        )
+    loss = {(model, target): value for model, target, value in zip(
+        losses["model"].tolist(), losses["target"].tolist(), losses["loss"].tolist())}
+    rows = [[target, *(repr(loss[k, target]) if (k, target) in loss else "" for k in MODEL_KINDS)]
+            for target in TARGETS]
     _write_csv(report_dir / "comparison.csv", ["target", *MODEL_KINDS], _columns(rows))
 
     # 2-D embedding scatter per game
-    with embed_path.open(newline="", encoding="utf-8") as fh:
-        points = list(csv.DictReader(fh))
     by_game: dict[str, list] = {}
-    for row in points:
-        by_game.setdefault(row["game"], []).append((float(row["x"]), float(row["y"])))
+    for game, x, y in zip(points["game"].tolist(), points["x"].tolist(), points["y"].tolist()):
+        by_game.setdefault(game, []).append((x, y))
     svg.scatter_plot(by_game, "final-session embedding (2-D projection)").save(
         report_dir / "embedding.svg"
     )
 
     # per-cluster behaviour curves
-    profile = json.loads(profiles_path.read_text(encoding="utf-8"))
     for metric in ("session_time", "delta_session"):
         curves = {}
         for cid, entry in sorted(profile.items()):

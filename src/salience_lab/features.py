@@ -466,7 +466,11 @@ def load_dataset(directory: str | Path) -> DatasetSplit:
     """Load a split written by save_dataset: the traces of train.csv and then of
     test.csv, each part in (user_id, game_id) order."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    path = directory / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FeatureError(f"{path} is not valid JSON: {exc}") from exc
     parts = [csvio.read_columns(directory / f"{name}.csv", _DATASET_COLUMNS, FeatureError)
              for name in ("train", "test")]
     part = np.repeat([0, 1], [len(columns["user_id"]) for columns in parts])

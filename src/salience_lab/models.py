@@ -645,12 +645,6 @@ class EvalReport:
     overall: dict[str, float]
     cells: list[dict]
 
-    def cell_rows(self) -> list[tuple]:
-        return [
-            (c["game"], c["session_index"], c["target"], c["loss"], c["count"])
-            for c in self.cells
-        ]
-
 
 def evaluate_outputs(
     batches: Sequence[Batch],

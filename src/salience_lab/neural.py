@@ -490,7 +490,10 @@ def save_checkpoint(path: str | Path, params: Mapping[str, np.ndarray],
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise NeuralError(f"checkpoint manifest {path} is not valid JSON: {exc}") from exc
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise NeuralError(f"unsupported checkpoint version {manifest.get('format_version')}")
     bin_path = path.with_suffix(".bin")

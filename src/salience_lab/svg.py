@@ -24,12 +24,6 @@ class Canvas:
         self.height = height
         self._parts: list[str] = []
 
-    def rect(self, x, y, w, h, fill="#ffffff", stroke="none"):
-        self._parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'fill="{fill}" stroke="{stroke}"/>'
-        )
-
     def line(self, x1, y1, x2, y2, stroke="#444444", width=1.0):
         self._parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '

@@ -10,7 +10,6 @@ threshold, or at the observation horizon.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +36,9 @@ _CSV_KINDS = {
 }
 CSV_COLUMNS = tuple(_CSV_KINDS)
 _INT_COLUMNS = tuple(name for name, kind in _CSV_KINDS.items() if kind is int)
+
+#: Columns of the latent sidecar, in order, with the type each is read as.
+_LATENT_KINDS = {"user_id": str, "session_index": int, "salience": float, "reward": float}
 
 #: The Gregorian calendar repeats every 400 years, 146097 days, a whole number of weeks.
 _MINUTES_PER_400_YEARS = 146097 * MINUTES_PER_DAY
@@ -380,22 +382,18 @@ def write_csv(traces: SessionTable, path: str | Path) -> None:
 
 def write_latent_csv(traces: SessionTable, path: str | Path) -> None:
     """Write the latent sidecar: user_id,session_index,salience,reward (header only without)."""
-    header = ("user_id", "session_index", "salience", "reward")
-    if traces.salience is None:
-        csvio.write_columns(Path(path), header, [[]] * len(header))
-        return
-    csvio.write_columns(Path(path), header,
-                        [traces.user_id, traces.session_index, traces.salience, traces.reward])
+    columns = [] if traces.salience is None else [
+        traces.user_id, traces.session_index, traces.salience, traces.reward]
+    csvio.write_columns(Path(path), tuple(_LATENT_KINDS), columns)
 
 
 def read_latent_csv(path: str | Path) -> dict[str, list[tuple[float, float]]]:
     """Read a latent sidecar back into user_id -> [(salience, reward)]."""
+    columns = csvio.read_columns(Path(path), _LATENT_KINDS, TelemetryError)
     out: dict[str, list[tuple[float, float]]] = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.setdefault(row["user_id"], []).append(
-                (float(row["salience"]), float(row["reward"]))
-            )
+    for user, salience, reward in zip(columns["user_id"].tolist(), columns["salience"].tolist(),
+                                      columns["reward"].tolist()):
+        out.setdefault(user, []).append((salience, reward))
     return out
 
 

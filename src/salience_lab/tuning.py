@@ -9,7 +9,6 @@ processes, one per usable core, each pinned to one BLAS thread.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import json
 import math
@@ -24,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import csvio
 from .features import DatasetSplit, carve_validation
 from .models import ArchConfig, MelchiorModel, ModelError, TrainConfig
 from .models import train as train_model
@@ -132,20 +132,11 @@ class HyperbandResult:
     trials: list[TrialResult]
 
     def write_log(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bracket", "round", "trial", "config_json", "epochs", "val_loss"])
-            for t in self.trials:
-                writer.writerow(
-                    [
-                        t.bracket,
-                        t.round,
-                        t.trial,
-                        json.dumps(t.config, sort_keys=True),
-                        t.epochs,
-                        repr(float(t.val_loss)),
-                    ]
-                )
+        """Write one row per trial, in run order."""
+        rows = [(t.bracket, t.round, t.trial, json.dumps(t.config, sort_keys=True), t.epochs,
+                 float(t.val_loss)) for t in self.trials]
+        csvio.write_columns(Path(path), ["bracket", "round", "trial", "config_json", "epochs",
+                                         "val_loss"], list(zip(*rows)))
 
 
 def default_objective(split: DatasetSplit, batch_size: int = 32):

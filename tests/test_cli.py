@@ -183,6 +183,21 @@ def test_many_short_traces_are_pinned(tmp_path):
     assert _digests(out, _MANY_SHORT_TRACES) == _MANY_SHORT_TRACES
 
 
+#: sha256 of what tune writes on smoke.json at seed 0; its trials train in worker
+#: processes pinned to one BLAS thread each.
+_PINNED_TUNE = {
+    "tune/best_config.json": "bcec1a6f38aa471b2c2562858096ffd4b813dfb8fb4490c276f25a14bbd23bee",
+    "tune/trials.csv": "92752baa291a6ecdea78dc08325c01ed87992b0e6fabdf23f7d51b47e3fddcdd",
+}
+
+
+def test_tune_outputs_are_pinned(pipeline_dir, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir / "features", out / "features")
+    assert main(["--config", SMOKE, "--out", str(out), "tune"]) == 0
+    assert _digests(out, _PINNED_TUNE) == _PINNED_TUNE
+
+
 def test_unsupported_checkpoint_version_exits_2_with_an_error(pipeline_dir, tmp_path, capsys):
     out = tmp_path / "run"
     shutil.copytree(pipeline_dir, out)
@@ -206,6 +221,48 @@ def test_checkpoint_bin_of_the_wrong_length_exits_2_with_an_error(pipeline_dir, 
     err = capsys.readouterr().err
     assert f"error: checkpoint {path} holds {len(blob) + extra} bytes" in err
     assert f"td_mlp.json describes {len(blob)}" in err
+
+
+def _truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:40])
+
+
+def _not_utf8(path: Path) -> None:
+    path.write_bytes('{"seed": 0, "tag": "café"}'.encode("latin-1"))
+
+
+@pytest.mark.parametrize("rel, command, damage", [
+    ("models/td_mlp.json", "evaluate", _truncate),
+    ("features/manifest.json", "evaluate", _truncate),
+    ("cluster/profiles.json", "report", _truncate),
+    ("config.json", "simulate", Path.mkdir),
+    ("config.json", "simulate", _not_utf8),
+], ids=["checkpoint", "features-manifest", "cluster-profiles", "config-directory",
+        "config-not-utf8"])
+def test_a_file_that_does_not_parse_exits_2_naming_it(pipeline_dir, tmp_path, capsys,
+                                                      rel, command, damage):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    path = out / rel
+    damage(path)
+    config = str(path) if rel == "config.json" else SMOKE
+    assert main(["--config", config, "--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("rel, text, message", [
+    ("eval/losses.csv", "model,target\r\ntd_mlp,ch\r\n", "header must be model,target,loss"),
+    ("embed/embedding_2d.csv", "user_id,x,y,game,ch,median_st,median_ss,median_ab\r\n"
+                               "u1,0.5,1.0x,alpha,0.0,1.0,2.0,3.0\r\n", "line 2: malformed row"),
+], ids=["losses-lacks-a-column", "embedding-float-does-not-parse"])
+def test_report_on_a_malformed_csv_exits_2_naming_it(pipeline_dir, tmp_path, capsys,
+                                                     rel, text, message):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    (out / rel).write_bytes(text.encode("utf-8"))
+    assert main(["--config", SMOKE, "--out", str(out), "report"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out / rel}: {message}")
 
 
 def _raises_in_worker(config, epochs, trial_seed, fit, val):

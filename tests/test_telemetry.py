@@ -223,6 +223,14 @@ def test_latent_sidecar_round_trip(tmp_path, small_population):
     assert latent[sample.user_id] == list(zip(sample.salience.tolist(), sample.reward.tolist()))
 
 
+def test_latent_sidecar_with_a_wrong_header_fails_naming_the_file(tmp_path):
+    path = tmp_path / "telemetry.latent.csv"
+    path.write_text("user_id,salience,reward\r\nu1,0.5,1.0\r\n", encoding="utf-8")
+    with pytest.raises(TelemetryError, match=r"telemetry\.latent\.csv: header must be "
+                                             r"user_id,session_index,salience,reward"):
+        read_latent_csv(path)
+
+
 def test_ingest_gap_is_end_to_start(tmp_path):
     path = tmp_path / "two.csv"
     path.write_text(
