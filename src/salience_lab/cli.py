@@ -266,13 +266,6 @@ def _read_json(path: Path):
         raise CliError(f"{path} is not a readable JSON file: {exc}") from exc
 
 
-def _read_csv(path: Path, columns: dict) -> dict[str, np.ndarray]:
-    """csvio.read_columns, whose error names the file also when it names a line."""
-    def error(message: str) -> CliError:
-        return CliError(message if message.startswith(f"{path}:") else f"{path}: {message}")
-    return csvio.read_columns(path, columns, error)
-
-
 def _load_split(out: Path) -> DatasetSplit:
     _need(out / "features" / "manifest.json", "featurize")
     return load_dataset(out / "features")
@@ -446,8 +439,10 @@ def cmd_cluster(config: dict, out: Path) -> None:
 
 
 def cmd_report(config: dict, out: Path) -> None:
-    losses = _read_csv(_need(out / "eval" / "losses.csv", "evaluate"), _LOSSES_COLUMNS)
-    points = _read_csv(_need(out / "embed" / "embedding_2d.csv", "embed"), _EMBEDDING_2D_COLUMNS)
+    losses = csvio.read_columns(_need(out / "eval" / "losses.csv", "evaluate"), _LOSSES_COLUMNS,
+                                CliError)
+    points = csvio.read_columns(_need(out / "embed" / "embedding_2d.csv", "embed"),
+                                _EMBEDDING_2D_COLUMNS, CliError)
     profile = _read_json(_need(out / "cluster" / "profiles.json", "cluster"))
     report_dir = out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)

@@ -26,38 +26,42 @@ def read_columns(path: Path, columns: Mapping[str, type],
     `columns` maps each name, in file order, to str, int or float, read as a str,
     int64 or float64 array (an int column never goes through float).  A wrong
     header, a field that holds NUL (a str array would drop a trailing one, so
-    that ``u1\\x00`` read as ``u1``), or a row with a field that does not parse,
-    raises `error` naming the file or the line.  A file with only its header
-    gives empty columns.
+    that ``u1\\x00`` read as ``u1``), a row with a field that does not parse, or a
+    file that is not UTF-8, raises `error` with a message that starts with the
+    file's path and names the line where one is to blame.  A file with only its
+    header gives empty columns.
     """
     names = tuple(columns)
-    with path.open(newline="", encoding="utf-8") as fh:
-        line = fh.readline()
-        header = next(csv.reader([line]), []) if line else None
-        if header is None or tuple(header) != names:
-            raise error(f"{path}: header must be {','.join(names)}, got {header}")
-        body = fh.tell()
-        empty = not fh.read(1)
-        with path.open("rb") as raw:  # UTF-8 has a 0 byte only where the text holds NUL
-            while chunk := raw.read(1 << 20):
-                if b"\x00" in chunk:
-                    raise error(_first_nul(path, names))
-        out: dict[str, np.ndarray] = {}
-        for kind, dtype in _DTYPES.items():
-            used = [i for i, name in enumerate(names) if columns[name] is kind]
-            if not used:
-                continue
-            if empty:
-                block = np.empty((0, len(used)), dtype=dtype)
-            else:
-                fh.seek(body)
-                try:
-                    # comments=None: the default '#' would cut an id such as u#1
-                    block = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                                       comments=None, usecols=used, ndmin=2)
-                except ValueError as exc:
-                    raise error(_first_bad_row(path, columns, exc)) from exc
-            out.update((names[i], block[:, j]) for j, i in enumerate(used))
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            line = fh.readline()
+            header = next(csv.reader([line]), []) if line else None
+            if header is None or tuple(header) != names:
+                raise error(f"{path}: header must be {','.join(names)}, got {header}")
+            body = fh.tell()
+            empty = not fh.read(1)
+            with path.open("rb") as raw:  # UTF-8 has a 0 byte only where the text holds NUL
+                while chunk := raw.read(1 << 20):
+                    if b"\x00" in chunk:
+                        raise error(_first_nul(path, names))
+            out: dict[str, np.ndarray] = {}
+            for kind, dtype in _DTYPES.items():
+                used = [i for i, name in enumerate(names) if columns[name] is kind]
+                if not used:
+                    continue
+                if empty:
+                    block = np.empty((0, len(used)), dtype=dtype)
+                else:
+                    fh.seek(body)
+                    try:
+                        # comments=None: the default '#' would cut an id such as u#1
+                        block = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                                           comments=None, usecols=used, ndmin=2)
+                    except ValueError as exc:
+                        raise error(_first_bad_row(path, columns, exc)) from exc
+                out.update((names[i], block[:, j]) for j, i in enumerate(used))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return out
 
 
@@ -74,7 +78,7 @@ def _first_bad_row(path: Path, columns: Mapping[str, type], exc: ValueError) -> 
                 for value, kind in zip(row, kinds):
                     kind(value)
             except ValueError as bad:
-                return f"line {line_no}: malformed row ({bad})"
+                return f"{path}: line {line_no}: malformed row ({bad})"
     return f"{path}: malformed row ({exc})"
 
 
@@ -86,7 +90,7 @@ def _first_nul(path: Path, names: Sequence[str]) -> str:
         for line_no, row in enumerate(rows, start=2):
             for name, value in zip(names, row):
                 if "\x00" in value:
-                    return f"line {line_no}: NUL in {name}"
+                    return f"{path}: line {line_no}: NUL in {name}"
     return f"{path}: NUL outside the columns"
 
 

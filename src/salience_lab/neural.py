@@ -3,13 +3,12 @@
 Everything here is plain numpy: dense and gated-recurrent layers, one layer
 of several one-wide output heads, embedding tables, the two masked losses
 (binary cross entropy and symmetric mean absolute percentage error), a
-bias-corrected Adam with global-norm gradient clipping, central-difference
-gradient checking, and a binary checkpoint format.  A model's parameters
-and gradients are two flat float64 vectors: each layer's base arrays (W, b,
-U, Wb) and gradients (gW, gb, gU, gWb), and their name -> ndarray views used
-by checkpoints and clipping ({name}.W, ...; the GRU's per-gate row blocks
-{name}.Wz ... {name}.bn; each head's row {head}.W, {head}.b), are views into
-them.
+bias-corrected Adam with global-norm gradient clipping, and a binary
+checkpoint format.  A model's parameters and gradients are two flat float64
+vectors: each layer's base arrays (W, b, U, Wb) and gradients (gW, gb, gU,
+gWb), and their name -> ndarray views used by checkpoints and clipping
+({name}.W, ...; the GRU's per-gate row blocks {name}.Wz ... {name}.bn; each
+head's row {head}.W, {head}.b), are views into them.
 """
 
 from __future__ import annotations
@@ -48,9 +47,10 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 
 _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    # name -> (f, f' expressed in terms of (pre, post))
+    # name -> (f, f' expressed in terms of (pre, post) as a fresh array).  linear and
+    # tanh return pre itself, written over, which their f' does not read.
     "linear": (lambda a: a, lambda a, y: np.ones_like(a)),
-    "tanh": (np.tanh, lambda a, y: 1.0 - y * y),
+    "tanh": (lambda a: np.tanh(a, out=a), lambda a, y: np.subtract(1.0, d := y * y, out=d)),
     "sigmoid": (sigmoid, lambda a, y: y * (1.0 - y)),
     "softplus": (softplus, lambda a, y: sigmoid(a)),
 }
@@ -112,7 +112,8 @@ class Dense(_Layer):
             )
         # Products on the (rows, width) reshape: one 2-D gemm, not one per leading index.
         flat_x = x.reshape(-1, x.shape[-1])
-        pre = flat_x @ self.W.T + self.b
+        pre = flat_x @ self.W.T
+        pre += self.b
         f, _ = _ACTIVATIONS[self.activation]
         out = f(pre)
         self._cache = (x.shape, flat_x, pre, out)
@@ -121,7 +122,8 @@ class Dense(_Layer):
     def backward(self, dout: np.ndarray) -> np.ndarray:
         shape, flat_x, pre, out = self._cache
         _, dact = _ACTIVATIONS[self.activation]
-        da = dout.reshape(pre.shape) * dact(pre, out)
+        da = dact(pre, out)
+        da *= dout.reshape(pre.shape)
         self.gW += da.T @ flat_x
         self.gb += da.sum(axis=0)
         return (da @ self.W).reshape(shape)
@@ -231,11 +233,15 @@ class GruLayer(_Layer):
     arrays W (3H, in), U (3H, H) and b (3H,), with gradients gW, gU and gb.
     params and grads expose the blocks as views under the names
     {name}.Wz ... {name}.bn, so a write through either side is seen by the
-    other.  forward projects every step's input with one product before the
-    time loop and writes each step's values into preallocated arrays; the
-    gates are evaluated as 0.5 + 0.5 tanh(a / 2).  backward keeps each step's
-    pre-activation gradients and forms the weight gradients and dx after the
-    loop, with four products and a sum.
+    other.
+
+    forward and backward take and return (B, T, features) arrays, but each
+    step runs feature-major: the states hs (T + 1, H, B), the gates zr
+    (T, 2H, B), and the input projections and pre-activation gradients
+    (T, 3H, B).  So z, r and n are contiguous row blocks of one step and every
+    elementwise call in the time loops runs on contiguous memory.  The input
+    projection, the weight gradients and dx stay one product each over all
+    (batch, step) cells.  The gates are evaluated as 0.5 + 0.5 tanh(a / 2).
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: Optional[np.random.Generator] = None,
@@ -267,76 +273,96 @@ class GruLayer(_Layer):
             )
         B, T, _ = x.shape
         H = self.hidden
-        m = np.ones((T, B, 1)) if mask is None else np.ascontiguousarray(mask.T)[..., None]
+        m = np.ones((T, 1, B)) if mask is None else np.ascontiguousarray(mask.T)[:, None, :]
         # On steps where every row is valid the blend is skipped: exact up to the sign of zero.
         full = m.min(axis=(1, 2)) == 1.0
-        # Input projections of every step in one product, time-major so ax[t] is contiguous.
-        x_tb = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(T * B, self.in_dim)
-        ax = (x_tb @ self.W.T + self.b).reshape(T, B, 3 * H)
         # Gates as sigmoid(a) = 0.5 + 0.5 tanh(a / 2).  Halving is exact, so it is
-        # folded into the z, r input projections and recurrent weights once.  The
-        # per-step products run faster on C-ordered copies than on transposed views.
-        ax[..., : 2 * H] *= 0.5
-        U_zr = np.ascontiguousarray(0.5 * self.U[: 2 * H].T)
-        U_n = np.ascontiguousarray(self.U[2 * H :].T)
-        hs = np.empty((T + 1, B, H))  # hs[t] is the state entering step t
-        hs[0] = 0.0 if h0 is None else h0
-        zr = np.empty((T, B, 2 * H))
-        n = np.empty((T, B, H))
-        rh = np.empty((T, B, H))
-        hmn = np.empty((T, B, H))  # h - n, reused by backward
-        for t in range(T):
-            h, g, h_new = hs[t], zr[t], hs[t + 1]
-            np.matmul(h, U_zr, out=g)
-            g += ax[t, :, : 2 * H]
+        # folded into the z, r input projections and recurrent weights once.
+        pre = x.reshape(B * T, self.in_dim) @ self.W.T
+        pre += self.b
+        pre[:, : 2 * H] *= 0.5
+        ax = np.ascontiguousarray(pre.reshape(B, T, 3 * H).transpose(1, 2, 0))
+        U_zr, U_n = 0.5 * self.U[: 2 * H], self.U[2 * H :]
+        hs = np.empty((T + 1, H, B))  # hs[t] is the state entering step t
+        hs[0] = 0.0 if h0 is None else h0.T
+        zr = np.empty((T, 2 * H, B))
+        n = np.empty((T, H, B))
+        rh, hmn = np.empty((H, B)), np.empty((H, B))  # r * h and h - n of the current step
+        steps = zip(hs[:-1], hs[1:], zr, zr[:, :H], zr[:, H:], ax[:, : 2 * H], ax[:, 2 * H :],
+                    n, m, 1.0 - m, full)
+        for h, h_new, g, z, r, ax_zr, ax_n, n_t, m_t, keep_t, full_t in steps:
+            np.matmul(U_zr, h, out=g)
+            g += ax_zr
             np.tanh(g, out=g)
             g *= 0.5
             g += 0.5
-            np.multiply(g[:, H:], h, out=rh[t])
-            np.matmul(rh[t], U_n, out=n[t])
-            n[t] += ax[t, :, 2 * H :]
-            np.tanh(n[t], out=n[t])
-            np.subtract(h, n[t], out=hmn[t])
+            np.multiply(r, h, out=rh)
+            np.matmul(U_n, rh, out=n_t)
+            n_t += ax_n
+            np.tanh(n_t, out=n_t)
+            np.subtract(h, n_t, out=hmn)
             # h' = z * h + (1 - z) * n, written as z * (h - n) + n
-            np.multiply(g[:, :H], hmn[t], out=h_new)
-            h_new += n[t]
-            if not full[t]:
-                np.add(m[t] * h_new, (1.0 - m[t]) * h, out=h_new)
-        self._cache = (x, m, full, hs, zr, n, rh, hmn)
-        return np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
+            np.multiply(z, hmn, out=h_new)
+            h_new += n_t
+            if not full_t:
+                np.add(m_t * h_new, keep_t * h, out=h_new)
+        self._cache = (x, m, full, hs, zr, n)
+        return np.ascontiguousarray(hs[1:].transpose(2, 0, 1))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, m, full, hs, zr, n, rh, hmn = self._cache
+        x, _, _, hs, zr, _ = self._cache
         B, T, _ = x.shape
         H = self.hidden
-        U_zr, U_n = self.U[: 2 * H], self.U[2 * H :]
-        z, r = zr[..., :H], zr[..., H:]
+        # The weight gradients and dx over every (batch, step) cell in x's (B, T) order;
+        # r * h is formed here, not kept from forward.
+        da = np.ascontiguousarray(self._step_gradients(dout).transpose(1, 2, 0))
+        da = da.reshape(3 * H, B * T)
+        h = np.ascontiguousarray(hs[:T].transpose(1, 2, 0))
+        rh = h * zr[:, H:].transpose(1, 2, 0)
+        self.gU[: 2 * H] += da[: 2 * H] @ h.reshape(H, B * T).T
+        self.gU[2 * H :] += da[2 * H :] @ rh.reshape(H, B * T).T
+        self.gb += da.sum(axis=1)
+        self.gW += da @ x.reshape(B * T, self.in_dim)
+        return (da.T @ self.W).reshape(B, T, self.in_dim)
+
+    def _step_gradients(self, dout: np.ndarray) -> np.ndarray:
+        """The pre-activation gradients (T, 3H, B) of every step, gate order z, r, n.
+
+        A method of its own so that its temporaries are freed before backward's
+        copies are made: on benchmark melchior training the lower peak spares
+        glibc's heap a trim and a re-fault every batch (about 300k page faults).
+        """
+        _, m, full, hs, zr, n = self._cache
+        T, H, B = n.shape
+        z, r, h = zr[:, :H], zr[:, H:], hs[:T]
         # Per step, d a_z = dcand * dz_pre, d a_r = drh * dr_pre and d a_n = dcand * dn_pre.
-        dz_pre = hmn * (z * (1.0 - z))
-        dr_pre = hs[:T] * (r * (1.0 - r))
+        dz_pre = (h - n) * (z * (1.0 - z))
+        dr_pre = h * (r * (1.0 - r))
         dn_pre = (1.0 - z) * (1.0 - n * n)
-        da = np.empty((T, B, 3 * H))  # pre-activation gradients, gate order z, r, n
-        dh = np.zeros((B, H))
-        for t in range(T - 1, -1, -1):
-            dh = dh + dout[:, t, :]
-            dcand = dh if full[t] else m[t] * dh
-            np.multiply(dcand, dn_pre[t], out=da[t, :, 2 * H :])
-            drh = da[t, :, 2 * H :] @ U_n
-            np.multiply(dcand, dz_pre[t], out=da[t, :, :H])
-            np.multiply(drh, dr_pre[t], out=da[t, :, H : 2 * H])
-            dh_prev = dcand * z[t] + drh * r[t]
-            if not full[t]:
-                dh_prev += (1.0 - m[t]) * dh
-            dh_prev += da[t, :, : 2 * H] @ U_zr
+        U_zr_T = np.ascontiguousarray(self.U[: 2 * H].T)
+        U_n_T = np.ascontiguousarray(self.U[2 * H :].T)
+        da = np.empty((T, 3 * H, B))
+        dh = np.zeros((H, B))  # the gradient of the state leaving the step, last step first
+        steps = zip(np.ascontiguousarray(dout.transpose(1, 2, 0))[::-1], da[::-1, : 2 * H],
+                    da[::-1, :H], da[::-1, H : 2 * H], da[::-1, 2 * H :], z[::-1], r[::-1],
+                    dz_pre[::-1], dr_pre[::-1], dn_pre[::-1], m[::-1], (1.0 - m)[::-1],
+                    full[::-1])
+        for (dout_t, da_zr, da_z, da_r, da_n, z_t, r_t, dz_t, dr_t, dn_t, m_t, keep_t,
+             full_t) in steps:
+            dh += dout_t
+            dcand = dh if full_t else m_t * dh
+            np.multiply(dcand, dn_t, out=da_n)
+            drh = U_n_T @ da_n
+            np.multiply(dcand, dz_t, out=da_z)
+            np.multiply(drh, dr_t, out=da_r)
+            dh_prev = dcand * z_t
+            drh *= r_t
+            dh_prev += drh
+            if not full_t:
+                dh_prev += keep_t * dh
+            dh_prev += U_zr_T @ da_zr
             dh = dh_prev
-        flat = da.reshape(T * B, 3 * H)
-        self.gU[: 2 * H] += flat[:, : 2 * H].T @ hs[:T].reshape(T * B, H)
-        self.gU[2 * H :] += flat[:, 2 * H :].T @ rh.reshape(T * B, H)
-        self.gb += flat.sum(axis=0)
-        # The input side in x's (B, T) order.
-        da_bt = da.transpose(1, 0, 2).reshape(B * T, 3 * H)
-        self.gW += da_bt.T @ x.reshape(B * T, self.in_dim)
-        return (da_bt @ self.W).reshape(B, T, self.in_dim)
+        return da
 
 
 def _masked_mean_setup(pred: np.ndarray, target: np.ndarray,
@@ -441,35 +467,23 @@ class AdamState:
         b1, b2 = self.beta1, self.beta2
         correct1 = 1.0 - b1**self.step_count
         correct2 = 1.0 - b2**self.step_count
-        self.m += (1.0 - b1) * (grad - self.m)
-        self.v += (1.0 - b2) * (grad * grad - self.v)
-        theta -= self.lr * (self.m / correct1) / (np.sqrt(self.v / correct2) + self.eps)
-
-
-def grad_check(loss_fn: Callable[[], float], params: Mapping[str, np.ndarray],
-               analytic: Mapping[str, np.ndarray], h: float = 1e-5) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    loss_fn must recompute the loss from the current (mutated in place)
-    parameter values.  The relative error denominator is floored so that
-    vanishing components do not dominate.
-    """
-    worst = 0.0
-    for name, p in params.items():
-        a = analytic[name]
-        flat = p.ravel()
-        aflat = a.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn()
-            flat[i] = orig - h
-            down = loss_fn()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            denom = max(abs(aflat[i]) + abs(numeric), 1e-4)
-            worst = max(worst, abs(aflat[i] - numeric) / denom)
-    return worst
+        # m += (1 - b1) (grad - m), v += (1 - b2) (grad^2 - v) and
+        # theta -= lr (m / correct1) / (sqrt(v / correct2) + eps), each rounded as written,
+        # through one scratch vector s and the step.
+        s = np.subtract(grad, self.m)
+        s *= 1.0 - b1
+        self.m += s
+        np.multiply(grad, grad, out=s)
+        s -= self.v
+        s *= 1.0 - b2
+        self.v += s
+        np.divide(self.v, correct2, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        step = self.m / correct1
+        step *= self.lr
+        step /= s
+        theta -= step
 
 
 def save_checkpoint(path: str | Path, params: Mapping[str, np.ndarray],

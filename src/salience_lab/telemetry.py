@@ -306,25 +306,6 @@ def _simulated_table(users: list[str], games: list[str], regions: list[str],
     return table
 
 
-def simulate_player(
-    spec: GameSpec,
-    init: LatentPlayerState,
-    calendar_start: int,
-    horizon_days: int,
-    user_id: str = "u0",
-    region: str = "eu",
-) -> PlayerTrace:
-    """Simulate one player's trace under the salience delta rule (see _simulate_sessions).
-
-    The trace is the only one of its table, so trace.table holds just its sessions.
-    """
-    rows: dict[str, list] = {name: [] for name in _SIMULATED}
-    completed = _simulate_sessions(spec, init, calendar_start, horizon_days, rows)
-    table = _simulated_table([user_id], [spec.game_id], [region], [len(rows["start_utc"])],
-                             [completed], rows)
-    return table[0]
-
-
 @dataclass(frozen=True)
 class PopulationSpec:
     """How to draw the latent state of a simulated player population."""

@@ -1,5 +1,6 @@
-"""Trace and feature-table builders and a table joiner, ids that need CSV quoting, a
-deadline, a relative error and the acceptance verdict log shared by the test modules.
+"""Trace and feature-table builders, a one-player simulator and a table joiner, ids that
+need CSV quoting, a deadline, a relative error, a gradient check and the acceptance
+verdict log shared by the test modules.
 
 Test modules import these by name; conftest.py keeps only pytest hooks and
 fixtures, so two conftest.py files on the import path never shadow each other.
@@ -11,11 +12,13 @@ import contextlib
 import functools
 import operator
 import signal
+from typing import Callable, Mapping
 
 import numpy as np
 
 from salience_lab.features import FeatureTable
-from salience_lab.telemetry import SessionTable
+from salience_lab.telemetry import (_SIMULATED, GameSpec, LatentPlayerState, PlayerTrace,
+                                    SessionTable, _simulate_sessions, _simulated_table)
 
 #: Verdict lines recorded by the acceptance suite; conftest.py echoes them
 #: after the run so they stay visible without -s.
@@ -59,6 +62,26 @@ def make_trace(
 def join(tables) -> SessionTable:
     """One table holding the traces of the given tables, in order."""
     return functools.reduce(operator.add, tables)
+
+
+def simulate_player(
+    spec: GameSpec,
+    init: LatentPlayerState,
+    calendar_start: int,
+    horizon_days: int,
+    user_id: str = "u0",
+    region: str = "eu",
+) -> PlayerTrace:
+    """Simulate one player's trace under the salience delta rule.
+
+    See telemetry._simulate_sessions.  The trace is the only one of its table, so
+    trace.table holds just its sessions.
+    """
+    rows: dict[str, list] = {name: [] for name in _SIMULATED}
+    completed = _simulate_sessions(spec, init, calendar_start, horizon_days, rows)
+    table = _simulated_table([user_id], [spec.game_id], [region], [len(rows["start_utc"])],
+                             [completed], rows)
+    return table[0]
 
 
 def feature_table(lengths, **columns) -> FeatureTable:
@@ -149,3 +172,29 @@ def deadline(seconds: int):
 def max_rel(actual, expected) -> float:
     """Largest absolute difference relative to the largest reference magnitude."""
     return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
+
+
+def grad_check(loss_fn: Callable[[], float], params: Mapping[str, np.ndarray],
+               analytic: Mapping[str, np.ndarray], h: float = 1e-5) -> float:
+    """Max relative error between analytic gradients and central differences.
+
+    loss_fn must recompute the loss from the current (mutated in place)
+    parameter values.  The relative error denominator is floored so that
+    vanishing components do not dominate.
+    """
+    worst = 0.0
+    for name, p in params.items():
+        a = analytic[name]
+        flat = p.ravel()
+        aflat = a.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss_fn()
+            flat[i] = orig - h
+            down = loss_fn()
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            denom = max(abs(aflat[i]) + abs(numeric), 1e-4)
+            worst = max(worst, abs(aflat[i] - numeric) / denom)
+    return worst

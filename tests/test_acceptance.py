@@ -46,10 +46,10 @@ from salience_lab.models import (
     masked_loss,
     train,
 )
-from salience_lab.neural import Dense, Embedding, GruLayer, bce_loss, grad_check, smape_loss
+from salience_lab.neural import Dense, Embedding, GruLayer, bce_loss, smape_loss
 from salience_lab.telemetry import simulate_population
 from salience_lab.tuning import make_schedule
-from helpers import ACCEPTANCE_LINES, random_trace
+from helpers import ACCEPTANCE_LINES, grad_check, random_trace
 
 SEEDS = (0, 1, 2)
 TARGETS = ("ch", "st", "ss", "ab")

@@ -106,17 +106,17 @@ def test_rerun_is_idempotent(pipeline_dir):
 #: taken with (numpy 2.4.6, OpenBLAS 0.3.31 on x86-64; the same at 1 and 2 BLAS threads).
 _PINNED_OUTPUTS = {
     "cluster/clusters.csv": "96cc15123397343fd9a707c976fcfea71cbca6c70be3c1cb4b8d544fad1e2eac",
-    "cluster/elbow.json": "d2f6ea4d026bd98f8258e2190e932b481ff169522f993d0d567f910eea6fa7f9",
+    "cluster/elbow.json": "57a324f5a8a9d9193c2d5ffa9b8c6b37cfd2ff0a926e62ebb140e83a0cbb0362",
     "cluster/profiles.json": "aee8b8e3764161fcadff31078d26d34855508318619497a6e74fec56ffc79914",
-    "embed/embedding_2d.csv": "809b3b417e23cca68fbaa19fab3843505ca3ed0d69c452379ed3a01ee6f550d5",
-    "embed/embeddings.csv": "32fce7b793a39a169ed9bec7e8919ef022f4c2939ef46ef876d80bd0b58e59fb",
-    "eval/cells.csv": "1027852aa8ca3afd0e608cfeea89436f3b49dc8d0b4c6f145299aa7ba5c2713d",
-    "eval/losses.csv": "31a52e32c11ac9dc2232f880a2257cb24bdd91fa0dff1720acfda19b408f19a9",
-    "eval/report.json": "c31e1ea0c5c8eaf4c9df4c6588d7171cb73f127d5f80a47d5ba9f1b6bbd0e9c5",
+    "embed/embedding_2d.csv": "f083854ccc090b9b6cede39753a4aec9f2bf5d67c348ff3792896cd3c18e738d",
+    "embed/embeddings.csv": "4bec8a0ac97bacc4e9ed84569204ad5eca063477311d6a3c4a7fbcf5d3e92b30",
+    "eval/cells.csv": "64528ad7ede10ec9b488525cf46b1d338a0cf395b1645f69a178a16481ff1e82",
+    "eval/losses.csv": "b337480ca5f4e2c5344be6235ee9028374de8df105645f60bb54bb7860c4e3db",
+    "eval/report.json": "9d477385d416037662e245286b75a7097be02768b581812cc4c638c375d4e346",
     "features/manifest.json": "d1c0bd227ca897c3c0059054b907d546287be2c2dc80c2efc3b21fd99485710b",
     "features/test.csv": "d2ee7675acb53a2ba20a36c59680834e4c79a6b104cf06458c3c14a5bb0697e0",
     "features/train.csv": "fbcf261cce51f57e2fe9e1624304f8a67dcd30d5f7ca4332c148a48c37c9ed14",
-    "models/melchior.bin": "e4c4c750b8a63b68111d9e93064eac54dd493d82098f297458d109801c454631",
+    "models/melchior.bin": "d124a5acdfa07f29ba1b9486e3c4061cb9aeb9497418172671ea7b3710a07627",
     "models/melchior.json": "75143ea17f2bf311449da32d4290d07ed77bf4e2f89a0ce97a96e9f8ef25fec0",
     "models/melchior_history.csv": "08d7f184933adce92753d90a23fa53d8c49b660bcd85ae9afe5e583b273037b5",
     "models/td_enet.bin": "ca2fffccbd64237cae971763156757cc54aada7ae70e66f2face7ab457c9b181",
@@ -125,7 +125,7 @@ _PINNED_OUTPUTS = {
     "models/td_mlp.bin": "a6a23b058e2e220ebe2a87ff28333a92091ad2429b7c77da555369929e414c40",
     "models/td_mlp.json": "095cc79a5a66dad8559e9ffecc02d09d89924e9a6234dfd85e72781d1da5a63d",
     "models/td_mlp_history.csv": "2f13d37df09e530c9f9c7cce0b5c493d983749dacb9a57b69547e743f27d491f",
-    "report/comparison.csv": "f501389a7d4dcbe6dd472a1e956557f6bcb28b9c18620a19a4429fb9cfd65d7f",
+    "report/comparison.csv": "18fbe500955f0c3d5c878b5dcc885dd48c4e33260febf091fb24d21a7d5d4d47",
     "report/embedding.svg": "2b65756273cf0010062f88e0aabf36441e2d95b99e84904336712bd4680e8ea2",
     "report/profile_delta_session.svg": "e778b6808eab64cedb134c33a3295d4ee1ee1777249a7761a409c49808e30a77",
     "report/profile_session_time.svg": "91b0e4db5b5d6940cc7bd8a9de5be7e9ea620ff180ec1fbd242ef54e476ea985",
@@ -186,8 +186,8 @@ def test_many_short_traces_are_pinned(tmp_path):
 #: sha256 of what tune writes on smoke.json at seed 0; its trials train in worker
 #: processes pinned to one BLAS thread each.
 _PINNED_TUNE = {
-    "tune/best_config.json": "bcec1a6f38aa471b2c2562858096ffd4b813dfb8fb4490c276f25a14bbd23bee",
-    "tune/trials.csv": "92752baa291a6ecdea78dc08325c01ed87992b0e6fabdf23f7d51b47e3fddcdd",
+    "tune/best_config.json": "df1f89aad36c23f4e1df63a4ca2e67026d5cc993e7a896c0235c0b4ccccd9671",
+    "tune/trials.csv": "89e06f6fd40bf1d99b261e67681dd9ba7e03dd738b832bd94b8cf322cd1ace8c",
 }
 
 
@@ -231,14 +231,29 @@ def _not_utf8(path: Path) -> None:
     path.write_bytes('{"seed": 0, "tag": "café"}'.encode("latin-1"))
 
 
+def _append_e9(path: Path) -> None:
+    path.write_bytes(path.read_bytes() + b"\xe9")
+
+
+def _bad_session_index(path: Path) -> None:
+    lines = path.read_bytes().split(b"\r\n")
+    column = lines[0].split(b",").index(b"session_index")
+    fields = lines[2].split(b",")  # line 3
+    fields[column] = b"x"
+    lines[2] = b",".join(fields)
+    path.write_bytes(b"\r\n".join(lines))
+
+
 @pytest.mark.parametrize("rel, command, damage", [
     ("models/td_mlp.json", "evaluate", _truncate),
     ("features/manifest.json", "evaluate", _truncate),
     ("cluster/profiles.json", "report", _truncate),
     ("config.json", "simulate", Path.mkdir),
     ("config.json", "simulate", _not_utf8),
+    ("telemetry.csv", "featurize", _append_e9),
+    ("features/test.csv", "evaluate", _bad_session_index),
 ], ids=["checkpoint", "features-manifest", "cluster-profiles", "config-directory",
-        "config-not-utf8"])
+        "config-not-utf8", "telemetry-not-utf8", "split-session-index-not-an-int"])
 def test_a_file_that_does_not_parse_exits_2_naming_it(pipeline_dir, tmp_path, capsys,
                                                       rel, command, damage):
     out = tmp_path / "run"

@@ -411,7 +411,7 @@ def test_malformed_number_names_its_line(tmp_path, dataset, column, value):
     rows[3][rows[0].index(column)] = value
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
-    with pytest.raises(FeatureError, match="^line 4: malformed row"):
+    with pytest.raises(FeatureError, match=f"^{re.escape(str(path))}: line 4: malformed row"):
         load_dataset(tmp_path / "ds")
 
 

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import awkward_table, feature_table, join, make_trace, max_rel
+from helpers import awkward_table, feature_table, grad_check, join, make_trace, max_rel
 from salience_lab import models
 from salience_lab.features import TARGETS as FEATURE_TARGETS
 from salience_lab.features import build_dataset, split_users
@@ -32,8 +32,7 @@ from salience_lab.models import (
     save_model,
     train,
 )
-from salience_lab.neural import (BCE_CLIP, SMAPE_EPS, Dense, clip_gradients, grad_check,
-                                 sigmoid)
+from salience_lab.neural import BCE_CLIP, SMAPE_EPS, Dense, clip_gradients, sigmoid
 from salience_lab.telemetry import GameSpec, simulate_population
 
 SMALL_ARCH = ArchConfig(hidden_width=16, d_z=8, layers=1, emb_dim=4)

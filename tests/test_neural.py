@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import max_rel
+from helpers import grad_check, max_rel
 from salience_lab.neural import (
     AdamState,
     Dense,
@@ -15,7 +16,6 @@ from salience_lab.neural import (
     NeuralError,
     bce_loss,
     clip_gradients,
-    grad_check,
     load_checkpoint,
     save_checkpoint,
     sigmoid,
@@ -267,18 +267,17 @@ def _reference_gru(params, name, x, mask, h0, dout):
     return out, dx, {f"{name}.{k}": v for k, v in g.items()}
 
 
-@pytest.mark.parametrize("T", [1, 2, 9])
-@pytest.mark.parametrize("in_dim,hidden", [(3, 4), (64, 32), (16, 64)])
-def test_gru_matches_per_step_reference(in_dim, hidden, T):
-    rng = np.random.default_rng(in_dim * 100 + hidden + T)
-    B = 5
+def _check_against_reference(B: int, T: int, in_dim: int, hidden: int, lengths: list[int],
+                             seed: int) -> None:
+    """forward and backward on ragged rows of the given lengths (cycled) and a random h0."""
+    rng = np.random.default_rng(seed)
     gru = GruLayer(in_dim, hidden, rng, "g")
     for v in gru.params.values():  # non-zero biases too
         v += rng.normal(scale=0.3, size=v.shape)
     x = rng.normal(size=(B, T, in_dim))
     mask = np.ones((B, T))
-    for i, length in enumerate([T, 1, max(1, T - 3), T, max(1, T // 2)]):
-        mask[i, length:] = 0.0  # ragged; the first steps have every row valid
+    for i, length in zip(range(B), itertools.cycle(lengths)):
+        mask[i, length:] = 0.0
     h0 = rng.normal(size=(B, hidden))
     dout = rng.normal(size=(B, T, hidden))  # held states at padded steps carry gradient too
     out_ref, dx_ref, g_ref = _reference_gru(gru.params, "g", x, mask, h0, dout)
@@ -290,6 +289,25 @@ def test_gru_matches_per_step_reference(in_dim, hidden, T):
     for k in g_ref:
         assert gru.grads[k].shape == g_ref[k].shape
         assert max_rel(gru.grads[k], g_ref[k]) < 1e-12, k
+
+
+@pytest.mark.parametrize("T", [1, 2, 9])
+@pytest.mark.parametrize("in_dim,hidden", [(3, 4), (64, 32), (16, 64)])
+def test_gru_matches_per_step_reference(in_dim, hidden, T):
+    # ragged; the first steps have every row valid
+    _check_against_reference(5, T, in_dim, hidden, [T, 1, max(1, T - 3), T, max(1, T // 2)],
+                             seed=in_dim * 100 + hidden + T)
+
+
+@pytest.mark.parametrize("B", [1, 6, 32])
+@pytest.mark.parametrize("T", [1, 9, 77])
+@pytest.mark.parametrize("in_dim,hidden", [(3, 4), (64, 32), (128, 64)])
+def test_gru_matches_per_step_reference_across_batch_sizes(in_dim, hidden, T, B):
+    # The per-step products take (features x batch) operands, which BLAS rounds
+    # differently at some batch sizes.  Row 0 is cut short, so one row alone is
+    # ragged too.
+    _check_against_reference(B, T, in_dim, hidden, [max(1, T // 2), T, 1, max(1, T - 3)],
+                             seed=in_dim * 100 + hidden + T + 1000 * B)
 
 
 def test_gru_saturated_gates_match_per_step_reference():
@@ -359,6 +377,21 @@ def test_melchior_checkpoint_round_trip_reproduces_forward(small_population, tmp
     got = loaded.forward(batch)
     for k in expected:
         assert np.array_equal(got[k], expected[k]), k
+
+
+def test_second_forward_leaves_the_first_results_intact(small_population):
+    # evaluate keeps every batch's head outputs and hidden states while it runs the next
+    split = build_dataset(small_population, ratio=0.8, seed=3)
+    model = MelchiorModel(split.vocabs, ArchConfig(hidden_width=16, d_z=8, emb_dim=4), seed=4)
+    first, second = make_batches(split.train, 4)[:2]
+    outputs, hidden = model.forward(first), model.hidden_states
+    kept = {k: v.copy() for k, v in outputs.items()}, hidden.copy()
+    model.forward(second)
+    model.backward({k: np.ones_like(v) for k, v in model.forward(second).items()})
+    assert model.hidden_states is not hidden
+    for k in kept[0]:
+        assert np.array_equal(outputs[k], kept[0][k]), k
+    assert np.array_equal(hidden, kept[1])
 
 
 # -- losses ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import time
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ODD_IDS, join, make_trace
+from helpers import ODD_IDS, join, make_trace, simulate_player
 from salience_lab.telemetry import (
     CSV_COLUMNS,
     GameSpec,
@@ -18,7 +19,6 @@ from salience_lab.telemetry import (
     env_stamp,
     ingest_csv,
     read_latent_csv,
-    simulate_player,
     simulate_population,
     write_csv,
     write_latent_csv,
@@ -350,7 +350,7 @@ def test_ingest_malformed_value_names_its_line(tmp_path, field, value):
     path = tmp_path / "bad.csv"
     path.write_text("".join(",".join(r) + "\r\n" for r in [CSV_COLUMNS, *rows]),
                     encoding="utf-8", newline="")
-    with pytest.raises(TelemetryError, match="^line 3: malformed row"):
+    with pytest.raises(TelemetryError, match=f"^{re.escape(str(path))}: line 3: malformed row"):
         ingest_csv(path)
 
 
@@ -426,8 +426,9 @@ def test_ingest_rejects_nul_in_an_id_naming_its_line(tmp_path, field, value):
     rows = [["u1", "g", 0, "30.0", "20.0", "0.0", 3, 2, "eu"],
             ["u1", "g", 100, "10.0", "5.0", "0.0", 3, 1, "eu"]]
     rows[1][CSV_COLUMNS.index(field)] = value
-    with pytest.raises(TelemetryError, match=f"^line 3: NUL in {field}$"):
-        ingest_csv(_csv_of(tmp_path, rows))
+    path = _csv_of(tmp_path, rows)
+    with pytest.raises(TelemetryError, match=f"^{re.escape(str(path))}: line 3: NUL in {field}$"):
+        ingest_csv(path)
 
 
 def test_nul_in_a_game_id_or_region_is_rejected():
