@@ -127,11 +127,10 @@ def _settings(factory, section: dict, path: str, reserved: Sequence[str] = ()) -
 
 @dataclasses.dataclass(frozen=True)
 class TuneConfig:
-    """The `tune` section: Hyperband's budget R and ratio eta, trial batch size, space."""
+    """The `tune` section: Hyperband's budget R and ratio eta, and the search space."""
 
     R: int = 27
     eta: int = 3
-    batch_size: int = 32
     space: tuning.SearchSpace = tuning.SearchSpace()
 
 
@@ -337,7 +336,8 @@ def cmd_tune(config: dict, out: Path) -> None:
     tune = _tune_config(config)
     result = tuning.hyperband_run(
         tune.space, tuning.make_schedule(tune.R, tune.eta), split, seed=config["seed"],
-        objective=tuning.default_objective(split, batch_size=tune.batch_size))
+        objective=tuning.default_objective(
+            split, batch_size=_train_config(config, "melchior").batch_size))
     tune_dir = out / "tune"
     tune_dir.mkdir(parents=True, exist_ok=True)
     result.write_log(tune_dir / "trials.csv")

@@ -26,10 +26,11 @@ def read_columns(path: Path, columns: Mapping[str, type],
     `columns` maps each name, in file order, to str, int or float, read as a str,
     int64 or float64 array (an int column never goes through float).  A wrong
     header, a field that holds NUL (a str array would drop a trailing one, so
-    that ``u1\\x00`` read as ``u1``), a row with a field that does not parse, or a
-    file that is not UTF-8, raises `error` with a message that starts with the
-    file's path and names the line where one is to blame.  A file with only its
-    header gives empty columns.
+    that ``u1\\x00`` read as ``u1``), rows whose last line has no line end (a
+    file cut short, whose last row may still parse), a row with a field that
+    does not parse, or a file that is not UTF-8, raises `error` with a message
+    that starts with the file's path and names the line where one is to blame.
+    A file with only its header gives empty columns.
     """
     names = tuple(columns)
     try:
@@ -44,6 +45,9 @@ def read_columns(path: Path, columns: Mapping[str, type],
                 while chunk := raw.read(1 << 20):
                     if b"\x00" in chunk:
                         raise error(_first_nul(path, names))
+                    last = chunk[-1:]
+            if not empty and last != b"\n":
+                raise error(f"{path}: the last line has no line end (is the file cut short?)")
             out: dict[str, np.ndarray] = {}
             for kind, dtype in _DTYPES.items():
                 used = [i for i, name in enumerate(names) if columns[name] is kind]

@@ -51,6 +51,9 @@ class Canvas:
         )
 
     def text(self, x, y, content: str, size=12, fill="#222222", anchor="start"):
+        # A label such as a game id may hold &, < or >.  Not xml.sax.saxutils.escape:
+        # that module imports urllib.request and ssl into every process that runs the CLI.
+        content = content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         self._parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" fill="{fill}" '
             f'text-anchor="{anchor}" font-family="sans-serif">{content}</text>'

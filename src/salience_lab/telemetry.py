@@ -383,8 +383,8 @@ def ingest_csv(path: str | Path) -> SessionTable:
 
     Rows are sorted by (user_id, game_id, start_utc) and delta_session is
     recomputed end-to-start from the timestamps; no trace is marked completed.
-    An error names the first bad data line, or the first (user, game) pair
-    whose sessions repeat a start or overlap.
+    An error names the file and then the first bad data line, or the first
+    (user, game) pair whose sessions repeat a start or overlap.
     """
     path = Path(path)
     columns = csvio.read_columns(path, _CSV_KINDS, TelemetryError)
@@ -404,7 +404,7 @@ def ingest_csv(path: str | Path) -> SessionTable:
     if bad.any():
         row = int(np.argmax(bad))
         reason = next(reason for mask, reason in row_checks if mask[row])
-        raise TelemetryError(f"line {row + 2}: {reason}")
+        raise TelemetryError(f"{path}: line {row + 2}: {reason}")
 
     n = len(user)
     order = np.lexsort((start, game, user))
@@ -419,7 +419,7 @@ def ingest_csv(path: str | Path) -> SessionTable:
         first = min(repeated.min(initial=n), overlapping.min(initial=n))
         problem = ("non-monotone session timestamps" if first in repeated
                    else "overlapping sessions")
-        raise TelemetryError(f"user {user[np.searchsorted(pair, first)]}: {problem}")
+        raise TelemetryError(f"{path}: user {user[np.searchsorted(pair, first)]}: {problem}")
 
     columns["delta_session"] = np.r_[0.0, np.where(same, gap, 0.0)][:n]
     first_rows = np.flatnonzero(np.r_[True, ~same])[:n]

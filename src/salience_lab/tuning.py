@@ -1,10 +1,11 @@
 """Hyperband search over architecture and optimizer knobs.
 
 Brackets trade breadth for depth: bracket s starts ceil((s_max+1)/(s+1) *
-eta^s) configurations at R * eta^-s epochs and keeps the top floor(n / eta)
-after each round.  A fifth of the training users is carved out once as the
-validation subset; no trial ever trains on them.  Trials run in forked worker
-processes, one per usable core, each pinned to one BLAS thread.
+eta^s) configurations, trains round i for floor(R * eta^(i-s)) epochs, up to
+R in its last, and keeps the top floor(n / eta) after each round.  A fifth of
+the training users is carved out once as the validation subset; no trial ever
+trains on them.  Trials run in forked worker processes, one per usable core,
+each pinned to one BLAS thread.
 """
 
 from __future__ import annotations
@@ -99,17 +100,16 @@ def make_schedule(R: int, eta: int) -> BracketSchedule:
         raise TuningError(f"eta must be >= 2, got {eta}")
     if R < eta:
         raise TuningError(f"R must be >= eta, got R={R}, eta={eta}")
-    s_max = int(math.floor(math.log(R) / math.log(eta)))
+    s_max = 0
+    while eta ** (s_max + 1) <= R:
+        s_max += 1
     brackets = []
     for s in range(s_max, -1, -1):
-        n = math.ceil(((s_max + 1) / (s + 1)) * eta**s)
-        r = R * eta ** (-s)
+        n = -(-(s_max + 1) * eta**s // (s + 1))
         rounds = []
-        n_i, r_i = n, r
-        for _ in range(s + 1):
-            rounds.append(Round(n_configs=n_i, epochs=max(1, int(math.floor(r_i)))))
-            n_i = max(1, n_i // eta)
-            r_i *= eta
+        for i in range(s + 1):
+            rounds.append(Round(n_configs=n, epochs=max(1, R * eta**i // eta**s)))
+            n = max(1, n // eta)
         brackets.append(Bracket(s=s, rounds=tuple(rounds)))
     return BracketSchedule(R=R, eta=eta, s_max=s_max, brackets=tuple(brackets))
 
@@ -197,22 +197,13 @@ def _pin_one_blas_thread() -> None:
         fn(1)
 
 
-def _trial_loss(objective: Callable, config: dict, epochs: int, seed: int, fit_traces,
-                val_traces) -> float:
-    """The objective's validation loss; inf for a trial that diverged."""
-    try:
-        loss = float(objective(config, epochs, seed, fit_traces, val_traces))
-    except (ModelError, FloatingPointError, OverflowError):
-        return math.inf
-    return loss if math.isfinite(loss) else math.inf
-
-
 def _trial_worker(conn, objective: Callable, fit_traces, val_traces) -> None:
     """Body of a forked worker: answer each (config, epochs, seed) on conn.
 
     The objective and the traces are inherited through fork, not sent.  The
-    reply is (loss, None), or (None, (error, formatted traceback)) when the
-    objective raised an error other than divergence.
+    reply is (loss, None), with loss inf for a trial that diverged, or
+    (None, (error, formatted traceback)) when the objective raised an error
+    other than divergence.
     """
     _pin_one_blas_thread()
     while True:
@@ -221,7 +212,10 @@ def _trial_worker(conn, objective: Callable, fit_traces, val_traces) -> None:
         except EOFError:  # the parent closed its end
             return
         try:
-            reply = (_trial_loss(objective, config, epochs, seed, fit_traces, val_traces), None)
+            loss = float(objective(config, epochs, seed, fit_traces, val_traces))
+            reply = (loss if math.isfinite(loss) else math.inf, None)
+        except (ModelError, FloatingPointError, OverflowError):
+            reply = (math.inf, None)
         except Exception as exc:  # re-raised by the parent, which then stops every worker
             reply = (None, (exc, traceback.format_exc()))
         conn.send(reply)
@@ -254,7 +248,10 @@ def hyperband_run(
     has fully returned.  The result, and the order of `trials`, equal those
     of running every trial in turn in one process, whatever the core count.
     A worker that dies raises TuningError naming its trial; any other error
-    the objective raises, apart from divergence, is raised here.
+    the objective raises, apart from divergence, is raised here.  A round whose
+    every trial diverged ends its bracket.  Once the pool drains, the first
+    bracket so ended raises TuningError naming its seeds; the brackets after
+    it have run to the end by then.
     """
     space.validate()
     fit_traces, val_traces = carve_validation(split.train, VAL_FRACTION, seed)
@@ -278,9 +275,6 @@ def hyperband_run(
 
     losses: dict[tuple[int, int], float] = {}  # (round, trial) -> validation loss
     ready = deque((b, 0, ent) for b, rounds in enumerate(lineups) for ent in rounds[0])
-    # Running every trial in turn would stop at the first bracket whose round fully
-    # diverges, so no bracket after it counts.
-    stop_at, failure = len(lineups), None
     ctx = multiprocessing.get_context("fork")
     workers = {}  # parent end of each worker's pipe -> its process
     running = {}  # parent end -> the (bracket, round, entrant) its worker runs
@@ -293,7 +287,7 @@ def hyperband_run(
             workers[conn] = process
             child_end.close()  # so the parent reads EOF once the worker exits
         idle = list(workers)
-        while ready or any(b <= stop_at for b, _, _ in running.values()):
+        while ready or running:
             while ready and idle:
                 conn = idle.pop()
                 b, r, ent = running[conn] = ready.popleft()
@@ -310,31 +304,21 @@ def hyperband_run(
             if error is not None:
                 raise error[0] from _RemoteTraceback(error[1])
             idle.append(conn)
-            if b > stop_at:
-                continue
             losses[(r, ent["trial"])] = loss
             lineup = lineups[b][r]
-            if any((r, e["trial"]) not in losses for e in lineup):
+            rounds = schedule.brackets[b].rounds
+            if r + 1 == len(rounds) or any((r, e["trial"]) not in losses for e in lineup):
                 continue
             scored = sorted(((losses[(r, e["trial"])], e) for e in lineup),
                             key=lambda pair: (pair[0], pair[1]["trial"]))
-            rounds = schedule.brackets[b].rounds
-            if all(math.isinf(loss) for loss, _ in scored):
-                seeds = sorted(e["seed"] for e in lineup)
-                stop_at = b
-                failure = f"all trials diverged in bracket {schedule.brackets[b].s}: seeds {seeds}"
-                ready = deque(job for job in ready if job[0] < b)
-            elif r + 1 < len(rounds):
-                keep = min(max(1, len(scored) // schedule.eta), rounds[r + 1].n_configs)
-                lineups[b].append([e for _, e in scored[:keep]])
+            if math.isfinite(scored[0][0]):  # a round whose every trial diverged ends here
+                lineups[b].append([e for _, e in scored[:rounds[r + 1].n_configs]])
                 ready.extend((b, r + 1, e) for e in lineups[b][-1])
     finally:
         for conn, process in workers.items():
             process.terminate()
             process.join()
             conn.close()
-    if failure is not None:
-        raise TuningError(failure)
 
     trials: list[TrialResult] = []
     finalists = []
@@ -345,7 +329,11 @@ def hyperband_run(
                             config=ent["config"], epochs=bracket.rounds[r_idx].epochs,
                             val_loss=losses[(r_idx, ent["trial"])], seed=ent["seed"])
                 for ent in lineup)
-        finalists.append(min((losses[(len(rounds) - 1, e["trial"])], e["trial"], e["config"])
-                             for e in rounds[-1]))
+        best = min((losses[(len(rounds) - 1, e["trial"])], e["trial"], e["config"])
+                   for e in rounds[-1])
+        if math.isinf(best[0]):
+            seeds = sorted(e["seed"] for e in rounds[-1])
+            raise TuningError(f"all trials diverged in bracket {bracket.s}: seeds {seeds}")
+        finalists.append(best)
     best_loss, _, best_config = min(finalists)
     return HyperbandResult(best_config=best_config, best_loss=best_loss, trials=trials)

@@ -1,6 +1,6 @@
 """Trace and feature-table builders, a one-player simulator and a table joiner, ids that
-need CSV quoting, a deadline, a relative error, a gradient check and the acceptance
-verdict log shared by the test modules.
+need CSV quoting, a deadline, a relative error, a gradient check, the benchmark's checks
+and the acceptance verdict log shared by the test modules.
 
 Test modules import these by name; conftest.py keeps only pytest hooks and
 fixtures, so two conftest.py files on the import path never shadow each other.
@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import importlib
 import operator
 import signal
+import sys
+from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
@@ -198,3 +201,11 @@ def grad_check(loss_fn: Callable[[], float], params: Mapping[str, np.ndarray],
             denom = max(abs(aflat[i]) + abs(numeric), 1e-4)
             worst = max(worst, abs(aflat[i] - numeric) / denom)
     return worst
+
+
+def benchmark_checks():
+    """perfbench/checks.py, which recomputes what the CLI writes apart from the package."""
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if path not in sys.path:
+        sys.path.append(path)
+    return importlib.import_module("checks")

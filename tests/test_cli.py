@@ -9,11 +9,12 @@ import os
 import re
 import shutil
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from helpers import deadline
+from helpers import benchmark_checks, deadline
 from salience_lab import tuning
 from salience_lab.cli import (
     CliError,
@@ -23,9 +24,9 @@ from salience_lab.cli import (
     main,
     validate_config,
 )
-from salience_lab.features import load_dataset, target_medians
+from salience_lab.features import FeatureError, load_dataset, target_medians
 from salience_lab.neural import NeuralError
-from salience_lab.telemetry import CSV_COLUMNS
+from salience_lab.telemetry import CSV_COLUMNS, TelemetryError, ingest_csv, read_latent_csv
 
 SMOKE = str(Path(__file__).resolve().parents[1] / "src/salience_lab/configs/smoke.json")
 
@@ -198,6 +199,13 @@ def test_tune_outputs_are_pinned(pipeline_dir, tmp_path):
     assert _digests(out, _PINNED_TUNE) == _PINNED_TUNE
 
 
+def test_tune_at_an_r_that_is_no_power_of_eta_follows_the_schedule(pipeline_dir, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir / "features", out / "features")
+    assert main(["--config", SMOKE, "--out", str(out), "--set", "tune.R=7", "tune"]) == 0
+    benchmark_checks().check_hyperband(out / "tune", 7, 3)
+
+
 def test_unsupported_checkpoint_version_exits_2_with_an_error(pipeline_dir, tmp_path, capsys):
     out = tmp_path / "run"
     shutil.copytree(pipeline_dir, out)
@@ -235,6 +243,13 @@ def _append_e9(path: Path) -> None:
     path.write_bytes(path.read_bytes() + b"\xe9")
 
 
+def _cut_inside_a_field(path: Path) -> None:
+    """Cut the file one byte short of the first line end past its middle: the row left
+    last still parses, and the rows after it are gone."""
+    blob = path.read_bytes()
+    path.write_bytes(blob[:blob.index(b"\r\n", len(blob) // 2) - 1])
+
+
 def _bad_session_index(path: Path) -> None:
     lines = path.read_bytes().split(b"\r\n")
     column = lines[0].split(b",").index(b"session_index")
@@ -252,8 +267,10 @@ def _bad_session_index(path: Path) -> None:
     ("config.json", "simulate", _not_utf8),
     ("telemetry.csv", "featurize", _append_e9),
     ("features/test.csv", "evaluate", _bad_session_index),
+    ("features/test.csv", "evaluate", _cut_inside_a_field),
 ], ids=["checkpoint", "features-manifest", "cluster-profiles", "config-directory",
-        "config-not-utf8", "telemetry-not-utf8", "split-session-index-not-an-int"])
+        "config-not-utf8", "telemetry-not-utf8", "split-session-index-not-an-int",
+        "split-cut-inside-a-field"])
 def test_a_file_that_does_not_parse_exits_2_naming_it(pipeline_dir, tmp_path, capsys,
                                                       rel, command, damage):
     out = tmp_path / "run"
@@ -270,7 +287,12 @@ def test_a_file_that_does_not_parse_exits_2_naming_it(pipeline_dir, tmp_path, ca
     ("eval/losses.csv", "model,target\r\ntd_mlp,ch\r\n", "header must be model,target,loss"),
     ("embed/embedding_2d.csv", "user_id,x,y,game,ch,median_st,median_ss,median_ab\r\n"
                                "u1,0.5,1.0x,alpha,0.0,1.0,2.0,3.0\r\n", "line 2: malformed row"),
-], ids=["losses-lacks-a-column", "embedding-float-does-not-parse"])
+    ("eval/losses.csv", "model,target,loss\r\ntd_mlp,st,0.4432557081",
+     "the last line has no line end"),
+    ("embed/embedding_2d.csv", "user_id,x,y,game,ch,median_st,median_ss,median_ab\r\n"
+                               "u1,0.5,1.0,alpha,0.0,1.0,2.0,3.", "the last line has no line end"),
+], ids=["losses-lacks-a-column", "embedding-float-does-not-parse", "losses-cut-inside-a-field",
+        "embedding-cut-inside-a-field"])
 def test_report_on_a_malformed_csv_exits_2_naming_it(pipeline_dir, tmp_path, capsys,
                                                      rel, text, message):
     out = tmp_path / "run"
@@ -302,6 +324,37 @@ def test_tune_trial_failure_exits_2_with_an_error(pipeline_dir, tmp_path, monkey
     assert capsys.readouterr().err.startswith(message)
     assert not (out / "tune").exists()
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("rel, read, error", [
+    ("telemetry.csv", ingest_csv, TelemetryError),
+    ("telemetry.latent.csv", read_latent_csv, TelemetryError),
+    ("features/test.csv", lambda path: load_dataset(path.parent), FeatureError),
+], ids=["telemetry", "latent", "split"])
+def test_a_csv_cut_inside_a_field_is_rejected_naming_it(pipeline_dir, tmp_path, rel, read,
+                                                        error):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    path = out / rel
+    _cut_inside_a_field(path)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: the last line has no line end"):
+        read(path)
+
+
+def test_report_svgs_stay_well_formed_for_a_game_id_with_markup(tmp_path):
+    config = bundled_config("smoke")
+    config["simulate"]["games"][0]["game_id"] = "A&B <1>"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    for argv in (["simulate"], ["featurize"], ["train", "--model", "td_enet"],
+                 ["train", "--model", "td_mlp"], ["train", "--model", "melchior"],
+                 ["evaluate"], ["embed"], ["cluster"], ["report"]):
+        assert main(["--config", str(path), "--out", str(out), *argv]) == 0
+    for svg_path in (out / "report").glob("*.svg"):
+        ElementTree.parse(svg_path)
+    embedding = ElementTree.parse(out / "report" / "embedding.svg")
+    assert "A&B <1>" in [node.text for node in embedding.iter() if node.tag.endswith("text")]
 
 
 def test_embedding_2d_medians_are_the_target_medians(pipeline_dir):
@@ -354,8 +407,9 @@ def test_validate_config_names_missing_field():
 
 
 #: Fields no command reads, each with its place in the smoke config: typos, a search-space
-#: key, a per-game key, a top-level key, the deleted tune.model, analysis.batch_size and
-#: analysis.iterations, and the seed and clip_norm that the CLI keeps to itself.
+#: key, a per-game key, a top-level key, the deleted tune.model, tune.batch_size,
+#: analysis.batch_size and analysis.iterations, and the seed and clip_norm that the CLI
+#: keeps to itself.
 UNREAD_FIELDS = {
     "models.melchior.epoch": ("models", "melchior", "epoch"),
     "models.arch.hiden_width": ("models", "arch", "hiden_width"),
@@ -365,6 +419,7 @@ UNREAD_FIELDS = {
     "simulate.games[0].colour": ("simulate", "games", 0, "colour"),
     "tag": ("tag",),
     "tune.model": ("tune", "model"),
+    "tune.batch_size": ("tune", "batch_size"),
     "analysis.batch_size": ("analysis", "batch_size"),
     "analysis.iterations": ("analysis", "iterations"),
     "models.melchior.seed": ("models", "melchior", "seed"),

@@ -371,7 +371,7 @@ def test_ingest_names_the_first_pair_with_bad_timestamps(tmp_path, rows, message
     lines = [",".join(CSV_COLUMNS)] + [f"{u},{g},{start},{length},1.0,0.0,3,2,eu"
                                        for u, g, start, length in rows]
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
-    with pytest.raises(TelemetryError, match=f"^{message}$"):
+    with pytest.raises(TelemetryError, match=f"^{re.escape(str(path))}: {message}$"):
         ingest_csv(path)
 
 
@@ -408,15 +408,19 @@ def test_ingest_rejects_a_non_finite_duration_naming_its_line(tmp_path, field, v
     rows = [["u1", "g", 0, "30.0", "20.0", "0.0", 3, 2, "eu"],
             ["u1", "g", 100, "10.0", "5.0", "0.0", 3, 1, "eu"]]
     rows[1][CSV_COLUMNS.index(field)] = value
-    with pytest.raises(TelemetryError, match="^line 3: non-finite duration$"):
-        ingest_csv(_csv_of(tmp_path, rows))
+    path = _csv_of(tmp_path, rows)
+    with pytest.raises(TelemetryError,
+                       match=f"^{re.escape(str(path))}: line 3: non-finite duration$"):
+        ingest_csv(path)
 
 
 def test_ingest_rejects_a_negative_start_naming_its_line(tmp_path):
     rows = [["u1", "g", 0, "30.0", "20.0", "0.0", 3, 2, "eu"],
             ["u2", "g", -5, "10.0", "5.0", "0.0", 3, 1, "eu"]]
-    with pytest.raises(TelemetryError, match="^line 3: negative start_utc$"):
-        ingest_csv(_csv_of(tmp_path, rows))
+    path = _csv_of(tmp_path, rows)
+    with pytest.raises(TelemetryError,
+                       match=f"^{re.escape(str(path))}: line 3: negative start_utc$"):
+        ingest_csv(path)
 
 
 @pytest.mark.parametrize("field, value", [("user_id", "u1\x00"), ("game_id", "\x00g"),

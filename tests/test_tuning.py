@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import deadline, feature_table
+from helpers import benchmark_checks, deadline, feature_table
 from salience_lab import models, tuning
 from salience_lab.features import build_dataset, carve_validation
 from salience_lab.models import ModelError, TrainConfig, make_batches
@@ -61,6 +61,20 @@ def test_schedule_r81_eta3_matches_reference_table():
         (3, 27),
         (1, 81),
     ]
+
+
+def test_schedule_equals_the_benchmark_integer_table():
+    table = benchmark_checks().bracket_table
+    for eta in range(2, 11):
+        for R in range(eta, 3000):
+            schedule = make_schedule(R, eta)
+            ours = [(b.s, [(r.n_configs, r.epochs) for r in b.rounds])
+                    for b in schedule.brackets]
+            assert ours == table(R, eta), (R, eta)
+            assert all(b.rounds[-1].epochs == R for b in schedule.brackets), (R, eta)
+    # log(243) / log(3) is 4.999... in floats; the bracket s = 5 must not be lost
+    assert make_schedule(243, 3).s_max == 5
+    assert make_schedule(1000, 10).s_max == 3
 
 
 def test_schedule_boundary_r_equals_eta():
