@@ -9,7 +9,6 @@ metrics per session index with normal-approximation confidence bands.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -198,18 +197,6 @@ class ElbowReport:
     chosen_k: int
     model: KMeansModel  # the Lloyd fit at chosen_k, whose inertia is listed
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k_values,
-                "inertia": self.inertias,
-                "marginal_gain": self.marginal_gains,
-                "chosen_k": self.chosen_k,
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
-
 
 def elbow_select(vectors: np.ndarray, k_range: Sequence[int], seed: int = 0,
                  restarts: int = 3) -> ElbowReport:
@@ -347,10 +334,6 @@ class PartitionProfile:
     """Per-cluster behavioural traces and target distributions."""
 
     clusters: dict[int, dict]
-
-    def to_json(self) -> str:
-        payload = {str(k): v for k, v in sorted(self.clusters.items())}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def ranked_by_median_ss(self) -> list[int]:
         """Cluster ids ordered by ascending median remaining-session count."""

@@ -42,9 +42,8 @@ class CliError(ValueError):
 
 
 def bundled_config(name: str) -> dict:
-    return json.loads(
-        resources.files("salience_lab.configs").joinpath(f"{name}.json").read_text("utf-8")
-    )
+    return csvio.read_json(resources.files("salience_lab.configs") / f"{name}.json", CliError,
+                           dict)
 
 
 def _known(section: dict, prefix: str, keys) -> None:
@@ -241,7 +240,7 @@ def load_config(path: Optional[str], overrides: Sequence[str], seed: Optional[in
         file = Path(path)
         if not file.exists():
             raise CliError(f"config file not found: {file}")
-        config = _read_json(file)
+        config = csvio.read_json(file, CliError, dict)
     config = apply_overrides(config, overrides)
     if seed is not None:
         config["seed"] = seed
@@ -256,13 +255,6 @@ def _need(path: Path, hint: str) -> Path:
     if not path.exists():
         raise CliError(f"missing input {path} (run `{hint}` first)")
     return path
-
-
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-        raise CliError(f"{path} is not a readable JSON file: {exc}") from exc
 
 
 def _load_split(out: Path) -> DatasetSplit:
@@ -341,15 +333,8 @@ def cmd_tune(config: dict, out: Path) -> None:
     tune_dir = out / "tune"
     tune_dir.mkdir(parents=True, exist_ok=True)
     result.write_log(tune_dir / "trials.csv")
-    (tune_dir / "best_config.json").write_text(
-        json.dumps(
-            {"best_config": result.best_config, "val_loss": result.best_loss},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    csvio.write_json(tune_dir / "best_config.json",
+                     {"best_config": result.best_config, "val_loss": result.best_loss})
     print(f"tune: best {result.best_config} (val loss {result.best_loss:.4f})")
 
 
@@ -377,10 +362,7 @@ def cmd_evaluate(config: dict, out: Path) -> None:
     eval_dir = out / "eval"
     _write_csv(eval_dir / "losses.csv", tuple(_LOSSES_COLUMNS), _columns(rows))
     _write_csv(eval_dir / "cells.csv", ["model", *cell_columns], _columns(cell_rows))
-    payload = {kind: report.overall for kind, report in found}
-    (eval_dir / "report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    csvio.write_json(eval_dir / "report.json", {kind: report.overall for kind, report in found})
     print(f"evaluate: {len(found)} models -> {eval_dir / 'losses.csv'}")
 
 
@@ -433,9 +415,22 @@ def cmd_cluster(config: dict, out: Path) -> None:
         ["user_id", "cluster"],
         [users, [assignments[u] for u in users]],
     )
-    (cluster_dir / "profiles.json").write_text(profile.to_json(), encoding="utf-8")
-    (cluster_dir / "elbow.json").write_text(elbow.to_json(), encoding="utf-8")
+    csvio.write_json(cluster_dir / "profiles.json",
+                     {str(cid): entry for cid, entry in profile.clusters.items()})
+    csvio.write_json(cluster_dir / "elbow.json", {"k": elbow.k_values, "inertia": elbow.inertias,
+                     "marginal_gain": elbow.marginal_gains, "chosen_k": elbow.chosen_k})
     print(f"cluster: k={elbow.chosen_k} over {len(users)} users -> {cluster_dir}")
+
+
+def _profile_curves(profile: dict) -> dict[str, dict[str, list]]:
+    """metric -> {cluster label: [(session, mean, ci or None)]}, from cluster/profiles.json."""
+    curves: dict[str, dict[str, list]] = {"session_time": {}, "delta_session": {}}
+    for cid, entry in sorted(profile.items()):
+        for metric, by_cluster in curves.items():
+            by_cluster[f"cluster {cid} (n={int(entry['count'])})"] = [
+                (int(r["session"]), float(r["mean"]), None if r["ci"] is None else float(r["ci"]))
+                for r in entry["curves"][metric]]
+    return curves
 
 
 def cmd_report(config: dict, out: Path) -> None:
@@ -443,7 +438,8 @@ def cmd_report(config: dict, out: Path) -> None:
                                 CliError)
     points = csvio.read_columns(_need(out / "embed" / "embedding_2d.csv", "embed"),
                                 _EMBEDDING_2D_COLUMNS, CliError)
-    profile = _read_json(_need(out / "cluster" / "profiles.json", "cluster"))
+    curves = csvio.read_json(_need(out / "cluster" / "profiles.json", "cluster"), CliError,
+                             _profile_curves)
     report_dir = out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
 
@@ -463,14 +459,8 @@ def cmd_report(config: dict, out: Path) -> None:
     )
 
     # per-cluster behaviour curves
-    for metric in ("session_time", "delta_session"):
-        curves = {}
-        for cid, entry in sorted(profile.items()):
-            rows = entry["curves"][metric]
-            curves[f"cluster {cid} (n={entry['count']})"] = [
-                (r["session"], r["mean"], r["ci"]) for r in rows
-            ]
-        svg.curve_plot(curves, f"{metric} by session index", "session index").save(
+    for metric, by_cluster in curves.items():
+        svg.curve_plot(by_cluster, f"{metric} by session index", "session index").save(
             report_dir / f"profile_{metric}.svg"
         )
     print(f"report: -> {report_dir}")
@@ -538,7 +528,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
     except (CliError, telemetry.TelemetryError, features.FeatureError, neural.NeuralError,
-            models.ModelError, tuning.TuningError, analysis.AnalysisError) as exc:
+            models.ModelError, tuning.TuningError, analysis.AnalysisError,
+            OSError) as exc:  # an OSError's message names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,16 +1,18 @@
-"""Column-at-a-time CSV reading on numpy's C parser, and column-at-a-time CSV writing.
+"""The pipeline's file formats: column-at-a-time CSV, and JSON objects.
 
 Every CSV file of the pipeline holds what ``csv.writer`` writes with its default
 dialect: comma-separated, CRLF line ends, and a field that holds a comma, a
 double quote, CR or LF enclosed in double quotes with each inner quote doubled.
 ``write_columns`` writes those bytes and ``read_columns`` accepts exactly that
-quoting.  ``#`` is an ordinary character; NUL is rejected.
+quoting, on numpy's C parser.  ``#`` is an ordinary character; NUL is rejected.
+Every JSON file holds one object, written by ``write_json`` and read by ``read_json``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -146,3 +148,27 @@ def _field_texts(values: np.ndarray, memo: dict) -> list[str]:
             writer.writerow((value, ""))
             memo[value] = buffer.getvalue()[:-3]
     return list(map(memo.__getitem__, values))
+
+
+def write_json(path: Path, payload: Mapping) -> None:
+    """Write payload with sorted keys, a 2-space indent and a final newline, in UTF-8."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def read_json(path: Path, error: type[Exception], parse: Callable[[dict], object]):
+    """parse(the object in the JSON file at path), or `error` naming the file if it cannot
+    be read, is not UTF-8 JSON, holds no object, or lacks a key or holds a wrong type that
+    parse looks for.  A ValueError subclass, as each error class of this package is, is
+    parse's own message and passes unchanged; a plain one, as float("abc") raises, does not."""
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise error(f"{path}: not a readable JSON file ({exc})") from exc
+    if not isinstance(value, dict):
+        raise error(f"{path}: must hold a JSON object, got {type(value).__name__}")
+    try:
+        return parse(value)
+    except (LookupError, TypeError, AttributeError, ArithmeticError, ValueError) as exc:
+        if isinstance(exc, ValueError) and type(exc) is not ValueError:
+            raise
+        raise error(f"{path}: not the expected layout ({type(exc).__name__}: {exc})") from exc

@@ -9,7 +9,6 @@ and the absence gap to the next session.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -438,18 +437,17 @@ def save_dataset(split: DatasetSplit, directory: str | Path) -> None:
     """Persist a split as manifest.json plus one CSV per split."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
+    parts = {"train": split.train, "test": split.test}
+    csvio.write_json(directory / "manifest.json", {
         "split_seed": split.split_seed,
         "ratio": split.ratio,
         "observation_end": split.observation_end,
         "thresholds": split.thresholds,
         "vocabularies": split.vocabs.to_dict(),
         "scaler": split.scaler.to_dict(),
-    }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    for name, traces in (("train", split.train), ("test", split.test)):
+        "rows": {name: int(traces.lengths.sum()) for name, traces in parts.items()},
+    })
+    for name, traces in parts.items():
         lengths = traces.lengths
         csvio.write_columns(directory / f"{name}.csv", _DATASET_COLUMNS, [
             np.repeat(traces.user_id, lengths),
@@ -466,13 +464,28 @@ def load_dataset(directory: str | Path) -> DatasetSplit:
     """Load a split written by save_dataset: the traces of train.csv and then of
     test.csv, each part in (user_id, game_id) order."""
     directory = Path(directory)
-    path = directory / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise FeatureError(f"{path} is not valid JSON: {exc}") from exc
-    parts = [csvio.read_columns(directory / f"{name}.csv", _DATASET_COLUMNS, FeatureError)
-             for name in ("train", "test")]
+    manifest = directory / "manifest.json"
+
+    def statistics(value: dict) -> dict:  # the DatasetSplit fields and each CSV's row count
+        return {
+            "vocabs": Vocabularies.from_dict(value["vocabularies"]),
+            "scaler": ScalerStats.from_dict(value["scaler"]),
+            "split_seed": int(value["split_seed"]),
+            "ratio": float(value["ratio"]),
+            "thresholds": {k: float(v) for k, v in value["thresholds"].items()},
+            "observation_end": float(value["observation_end"]),
+            "rows": {name: int(value["rows"][name]) for name in ("train", "test")},
+        }
+
+    stats = csvio.read_json(manifest, FeatureError, statistics)
+    parts = []
+    for name, rows in stats.pop("rows").items():
+        path = directory / f"{name}.csv"
+        columns = csvio.read_columns(path, _DATASET_COLUMNS, FeatureError)
+        if len(columns["user_id"]) != rows:
+            raise FeatureError(f"{path}: {len(columns['user_id'])} rows, but {manifest} "
+                               f"records {rows} (is the file cut short?)")
+        parts.append(columns)
     part = np.repeat([0, 1], [len(columns["user_id"]) for columns in parts])
 
     def column(name: str) -> np.ndarray:
@@ -494,10 +507,5 @@ def load_dataset(directory: str | Path) -> DatasetSplit:
             ab_mask=ordered("ab_mask"), user_id=users[first], game_id=games[first],
             game_idx=ordered("game_idx")[first], offsets=np.append(first, len(order))),
         n_train=int(np.count_nonzero(part[first] == 0)),
-        vocabs=Vocabularies.from_dict(manifest["vocabularies"]),
-        scaler=ScalerStats.from_dict(manifest["scaler"]),
-        split_seed=int(manifest["split_seed"]),
-        ratio=float(manifest["ratio"]),
-        thresholds={k: float(v) for k, v in manifest["thresholds"].items()},
-        observation_end=float(manifest["observation_end"]),
+        **stats,
     )

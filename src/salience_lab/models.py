@@ -746,14 +746,17 @@ def save_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path, vocabs: Vocabularies):
-    params, meta = neural.load_checkpoint(path)
-    kind = meta.get("kind")
-    if kind == "td_enet":
-        model = TdEnet(vocabs, **meta["enet"])
-    elif kind in ("td_mlp", "melchior"):
-        model = build_model(kind, vocabs, ArchConfig(**meta["arch"]), meta["seed"])
-    else:
-        raise ModelError(f"unknown model kind {kind!r} in checkpoint")
+    """The model that save_model wrote; a checkpoint whose meta lacks a field or holds
+    a wrong one raises ModelError naming it."""
+    def unfitted(meta: dict):
+        kind = meta.get("kind")
+        if kind == "td_enet":
+            return TdEnet(vocabs, **meta["enet"])
+        if kind in ("td_mlp", "melchior"):
+            return build_model(kind, vocabs, ArchConfig(**meta["arch"]), meta["seed"])
+        raise ModelError(f"{path}: unknown model kind {kind!r}")
+
+    params, model = neural.load_checkpoint(path, unfitted, ModelError)
     model.set_params(params)
     return model
 

@@ -14,13 +14,14 @@ head's row {head}.W, {head}.b), are views into them.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 import numpy as np
+
+from . import csvio
 
 CHECKPOINT_VERSION = 1
 BCE_CLIP = 1e-7
@@ -491,35 +492,46 @@ def save_checkpoint(path: str | Path, params: Mapping[str, np.ndarray],
     """Write a JSON manifest plus a little-endian float64 sidecar (.bin)."""
     path = Path(path)
     names = sorted(params)
-    manifest = {
+    blob = b"".join(np.ascontiguousarray(params[n], dtype="<f8").tobytes() for n in names)
+    csvio.write_json(path, {
         "format_version": CHECKPOINT_VERSION,
         "dtype": "<f8",
         "arrays": [{"name": n, "shape": list(params[n].shape)} for n in names],
         "meta": meta or {},
-    }
-    blob = b"".join(np.ascontiguousarray(params[n], dtype="<f8").tobytes() for n in names)
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    })
     path.with_suffix(".bin").write_bytes(blob)
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+def load_checkpoint(path: str | Path, meta: Callable[[dict], object] = dict,
+                    error: type[Exception] = NeuralError) -> tuple[dict[str, np.ndarray], object]:
+    """The arrays of a checkpoint that save_checkpoint wrote, and meta(its meta).
+
+    A manifest of another layout, or a meta that `meta` cannot read, raises `error` naming
+    it; an unknown version, or a .bin that is missing or of the wrong length, NeuralError."""
     path = Path(path)
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise NeuralError(f"checkpoint manifest {path} is not valid JSON: {exc}") from exc
-    if manifest.get("format_version") != CHECKPOINT_VERSION:
-        raise NeuralError(f"unsupported checkpoint version {manifest.get('format_version')}")
+
+    def layout(manifest: dict):
+        if manifest.get("format_version") != CHECKPOINT_VERSION:
+            raise NeuralError(f"unsupported checkpoint version {manifest.get('format_version')}")
+        arrays = [(str(entry["name"]), entry["shape"]) for entry in manifest["arrays"]]
+        for name, shape in arrays:
+            if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+                raise error(f"{path}: array {name} has shape {shape!r}, not a list of sizes")
+        return arrays, meta(manifest["meta"])
+
+    arrays, meta_value = csvio.read_json(path, error, layout)
     bin_path = path.with_suffix(".bin")
+    if not bin_path.is_file():
+        raise NeuralError(f"checkpoint {bin_path} is missing; it holds the arrays of {path.name}")
     blob = bin_path.read_bytes()
-    sizes = [math.prod(entry["shape"]) for entry in manifest["arrays"]]
+    sizes = [math.prod(shape) for _, shape in arrays]
     if len(blob) != 8 * sum(sizes):
         raise NeuralError(f"checkpoint {bin_path} holds {len(blob)} bytes, but its manifest "
                           f"{path.name} describes {8 * sum(sizes)}")
     params = {}
     offset = 0
-    for entry, size in zip(manifest["arrays"], sizes):
+    for (name, shape), size in zip(arrays, sizes):
         arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-        params[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float64)
+        params[name] = arr.reshape(shape).astype(np.float64)
         offset += size * 8
-    return params, manifest.get("meta", {})
+    return params, meta_value

@@ -114,7 +114,7 @@ _PINNED_OUTPUTS = {
     "eval/cells.csv": "64528ad7ede10ec9b488525cf46b1d338a0cf395b1645f69a178a16481ff1e82",
     "eval/losses.csv": "b337480ca5f4e2c5344be6235ee9028374de8df105645f60bb54bb7860c4e3db",
     "eval/report.json": "9d477385d416037662e245286b75a7097be02768b581812cc4c638c375d4e346",
-    "features/manifest.json": "d1c0bd227ca897c3c0059054b907d546287be2c2dc80c2efc3b21fd99485710b",
+    "features/manifest.json": "110ebaa73dc457afcf2d28fc8d6b36c1273f30b16ad1fe011821e0c5129bda2d",
     "features/test.csv": "d2ee7675acb53a2ba20a36c59680834e4c79a6b104cf06458c3c14a5bb0697e0",
     "features/train.csv": "fbcf261cce51f57e2fe9e1624304f8a67dcd30d5f7ca4332c148a48c37c9ed14",
     "models/melchior.bin": "d124a5acdfa07f29ba1b9486e3c4061cb9aeb9497418172671ea7b3710a07627",
@@ -164,7 +164,7 @@ def test_every_pipeline_output_is_pinned(tmp_path):
 _MANY_SHORT_TRACES = {
     "telemetry.csv": "0954d2816ecb21385c8a7879ad5eb89707670358488f471d4cbd69b16bb7564e",
     "telemetry.latent.csv": "f23267b22361b5f07685ccefd1640d20561158a8009f36ebdd61655ed4dd884e",
-    "features/manifest.json": "4d2cacdb8a05dc0c2180917a9c70c41db8c23dac4e66d5530d3066186a991cb2",
+    "features/manifest.json": "30d734eab1dbcbf7e3d948a40641bd0fe79dd2577a70b58ef68d2f45f80999ff",
     "features/test.csv": "0bc186571049b8a5c1354115ea229e3832d71546322b183460fca9dd40048ed1",
     "features/train.csv": "fdcd8a690f8e7198db2ee48c2487a2a40820cebabf8475ef8d8193b1c408f9e4",
 }
@@ -250,6 +250,12 @@ def _cut_inside_a_field(path: Path) -> None:
     path.write_bytes(blob[:blob.index(b"\r\n", len(blob) // 2) - 1])
 
 
+def _cut_at_a_row_boundary(path: Path) -> None:
+    """Cut the file just after the first line end past its middle: every row left parses."""
+    blob = path.read_bytes()
+    path.write_bytes(blob[:blob.index(b"\r\n", len(blob) // 2) + 2])
+
+
 def _bad_session_index(path: Path) -> None:
     lines = path.read_bytes().split(b"\r\n")
     column = lines[0].split(b",").index(b"session_index")
@@ -259,28 +265,174 @@ def _bad_session_index(path: Path) -> None:
     path.write_bytes(b"\r\n".join(lines))
 
 
-@pytest.mark.parametrize("rel, command, damage", [
-    ("models/td_mlp.json", "evaluate", _truncate),
-    ("features/manifest.json", "evaluate", _truncate),
-    ("cluster/profiles.json", "report", _truncate),
-    ("config.json", "simulate", Path.mkdir),
-    ("config.json", "simulate", _not_utf8),
-    ("telemetry.csv", "featurize", _append_e9),
-    ("features/test.csv", "evaluate", _bad_session_index),
-    ("features/test.csv", "evaluate", _cut_inside_a_field),
-], ids=["checkpoint", "features-manifest", "cluster-profiles", "config-directory",
-        "config-not-utf8", "telemetry-not-utf8", "split-session-index-not-an-int",
-        "split-cut-inside-a-field"])
+def _inserted(byte: bytes):
+    """A damage that puts byte after the first field of the file's second line."""
+    def damage(path: Path) -> None:
+        blob = path.read_bytes()
+        at = blob.index(b",", blob.index(b"\n"))
+        path.write_bytes(blob[:at] + byte + blob[at:])
+    return damage
+
+
+def _empty(path: Path) -> None:
+    path.write_bytes(b"")
+
+
+def _wrong_header(path: Path) -> None:
+    header, rows = path.read_bytes().split(b"\r\n", 1)
+    first, second, *others = header.split(b",")
+    path.write_bytes(b",".join([second, first, *others]) + b"\r\n" + rows)
+
+
+def _csv_number_does_not_parse(path: Path) -> None:
+    lines = path.read_bytes().split(b"\r\n")
+    fields = lines[2].split(b",")  # line 3, whose first numeric field becomes 1.2.3
+    column = next(i for i, f in enumerate(fields) if re.fullmatch(rb"-?[0-9][0-9.e+-]*", f))
+    fields[column] = b"1.2.3"
+    lines[2] = b",".join(fields)
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def _json_number_does_not_parse(path: Path) -> None:
+    blob, count = re.subn(rb": -?[0-9][0-9.eE+-]*", b": 1.2.3", path.read_bytes(), count=1)
+    assert count == 1
+    path.write_bytes(blob)
+
+
+def _text(text: str):
+    def damage(path: Path) -> None:
+        path.write_text(text, encoding="utf-8")
+    return damage
+
+
+def _edit(change):
+    """A damage that applies change to the JSON value in place and writes it back."""
+    def damage(path: Path) -> None:
+        value = json.loads(path.read_text(encoding="utf-8"))
+        change(value)
+        path.write_text(json.dumps(value), encoding="utf-8")
+    return damage
+
+
+def _directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+_CSV_FAULTS = {"cut-inside-a-field": _cut_inside_a_field, "non-utf8-byte": _inserted(b"\xe9"),
+               "nul": _inserted(b"\x00"), "empty": _empty,
+               "number-does-not-parse": _csv_number_does_not_parse, "wrong-header": _wrong_header}
+_JSON_FAULTS = {"truncated": _truncate, "non-utf8-byte": _inserted(b"\xe9"),
+                "nul": _inserted(b"\x00"), "empty": _empty,
+                "number-does-not-parse": _json_number_does_not_parse}
+
+#: Every file that a command reads, with the command, a name for the file, and the faults of
+#: its type that no hand-written case of _FAULT_CASES below already applies to it.
+_SWEEP = [
+    ("config.json", "simulate", "config", _JSON_FAULTS.keys()),
+    ("telemetry.csv", "featurize", "telemetry", _CSV_FAULTS.keys()),
+    ("features/train.csv", "train --model td_mlp", "split-train", _CSV_FAULTS.keys()),
+    ("features/test.csv", "evaluate", "split",
+     _CSV_FAULTS.keys() - {"cut-inside-a-field", "number-does-not-parse"}),
+    ("features/manifest.json", "tune", "features-manifest", _JSON_FAULTS.keys() - {"truncated"}),
+    ("models/td_mlp.json", "evaluate", "checkpoint", _JSON_FAULTS.keys() - {"truncated"}),
+    ("models/melchior.json", "cluster", "melchior-checkpoint", _JSON_FAULTS.keys()),
+    ("eval/losses.csv", "report", "losses", _CSV_FAULTS.keys()),
+    ("embed/embedding_2d.csv", "report", "embedding", _CSV_FAULTS.keys()),
+    ("cluster/profiles.json", "report", "cluster-profiles", _JSON_FAULTS.keys() - {"truncated"}),
+]
+
+_FAULT_CASES = [
+    pytest.param("models/td_mlp.json", "evaluate", _truncate, id="checkpoint"),
+    pytest.param("features/manifest.json", "evaluate", _truncate, id="features-manifest"),
+    pytest.param("cluster/profiles.json", "report", _truncate, id="cluster-profiles"),
+    pytest.param("config.json", "simulate", _directory, id="config-directory"),
+    pytest.param("config.json", "simulate", _not_utf8, id="config-not-utf8"),
+    pytest.param("telemetry.csv", "featurize", _append_e9, id="telemetry-not-utf8"),
+    pytest.param("features/test.csv", "evaluate", _bad_session_index,
+                 id="split-session-index-not-an-int"),
+    pytest.param("features/test.csv", "evaluate", _cut_inside_a_field,
+                 id="split-cut-inside-a-field"),
+    pytest.param("features/test.csv", "evaluate", _cut_at_a_row_boundary,
+                 id="split-cut-at-a-row-boundary"),
+    pytest.param("features/train.csv", "tune", _cut_at_a_row_boundary,
+                 id="split-train-cut-at-a-row-boundary"),
+    # JSON that parses but does not hold the layout its reader expects
+    pytest.param("config.json", "simulate", _text("[]"), id="config-not-an-object"),
+    pytest.param("features/manifest.json", "evaluate", _text("{}"),
+                 id="features-manifest-empty-object"),
+    pytest.param("features/manifest.json", "evaluate", _text("[]"),
+                 id="features-manifest-not-an-object"),
+    pytest.param("features/manifest.json", "evaluate",
+                 _edit(lambda m: m["scaler"][0].update(min="abc")),
+                 id="features-manifest-scaler-min-not-a-number"),
+    pytest.param("features/manifest.json", "evaluate",
+                 _edit(lambda m: m.update(thresholds=list(m["thresholds"].values()))),
+                 id="features-manifest-thresholds-a-list"),
+    pytest.param("features/manifest.json", "embed", _edit(lambda m: m.pop("rows")),
+                 id="features-manifest-lacks-rows"),
+    pytest.param("models/td_mlp.json", "evaluate", _text('{"format_version": 1}'),
+                 id="checkpoint-lacks-arrays"),
+    pytest.param("models/td_mlp.json", "evaluate", _text("[1]"), id="checkpoint-not-an-object"),
+    pytest.param("models/td_mlp.json", "evaluate", _edit(lambda m: m["meta"].pop("arch")),
+                 id="checkpoint-meta-lacks-arch"),
+    pytest.param("models/td_mlp.json", "evaluate",
+                 _edit(lambda m: m["arrays"][0].update(shape="x")), id="checkpoint-shape-not-a-list"),
+    pytest.param("models/td_enet.json", "evaluate", _edit(lambda m: m["meta"].pop("enet")),
+                 id="td-enet-checkpoint-meta-lacks-enet"),
+    pytest.param("models/melchior.json", "embed", _edit(lambda m: m.pop("meta")),
+                 id="melchior-checkpoint-lacks-meta"),
+    pytest.param("models/melchior.json", "embed",
+                 _edit(lambda m: m["meta"]["arch"].update(width=8)),
+                 id="melchior-checkpoint-arch-holds-a-wrong-field"),
+    pytest.param("models/td_mlp.bin", "evaluate", Path.unlink, id="checkpoint-bin-missing"),
+    pytest.param("models/melchior.bin", "embed", Path.unlink, id="melchior-bin-missing"),
+    pytest.param("models/td_enet.bin", "evaluate", _truncate, id="td-enet-bin-truncated"),
+    pytest.param("models/td_enet.bin", "evaluate", _empty, id="td-enet-bin-empty"),
+    pytest.param("cluster/profiles.json", "report", _text('{"0": {"count": 3}}'),
+                 id="cluster-profiles-lacks-curves"),
+    pytest.param("cluster/profiles.json", "report", _text("[]"),
+                 id="cluster-profiles-not-an-object"),
+] + [pytest.param(rel, command, (_JSON_FAULTS if rel.endswith(".json") else _CSV_FAULTS)[fault],
+                  id=f"{name}-{fault}")
+     for rel, command, name, faults in _SWEEP for fault in sorted(faults)]
+
+
+@pytest.mark.parametrize("rel, command, damage", _FAULT_CASES)
 def test_a_file_that_does_not_parse_exits_2_naming_it(pipeline_dir, tmp_path, capsys,
                                                       rel, command, damage):
     out = tmp_path / "run"
     shutil.copytree(pipeline_dir, out)
     path = out / rel
+    if rel == "config.json":
+        shutil.copy(SMOKE, path)
     damage(path)
     config = str(path) if rel == "config.json" else SMOKE
-    assert main(["--config", config, "--out", str(out), command]) == 2
+    assert main(["--config", config, "--out", str(out), *command.split()]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["a-file", "under-a-file"])
+def test_an_out_that_is_no_directory_exits_2_naming_it(tmp_path, capsys, inside):
+    out = tmp_path / "afile"
+    out.write_text("not a directory\n", encoding="utf-8")
+    if inside:
+        out = out / "x"
+    assert main(["--config", SMOKE, "--out", str(out), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
+def test_every_json_file_keeps_the_convention(pipeline_dir):
+    written = sorted(str(p.relative_to(pipeline_dir)) for p in pipeline_dir.rglob("*.json"))
+    assert written == ["cluster/elbow.json", "cluster/profiles.json", "eval/report.json",
+                       "features/manifest.json", "models/melchior.json", "models/td_enet.json",
+                       "models/td_mlp.json"]
+    for rel in written:
+        text = (pipeline_dir / rel).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", rel
 
 
 @pytest.mark.parametrize("rel, text, message", [
