@@ -21,26 +21,32 @@ import numpy as np
 _DTYPES = {str: str, int: np.int64, float: np.float64}
 
 
-def read_columns(path: Path, columns: Mapping[str, type],
+def read_columns(path: Path, columns: Mapping[str, type] | Sequence[Mapping[str, type]],
                  error: Callable[[str], Exception]) -> dict[str, np.ndarray]:
     """Each column of a CSV file whose header is exactly `columns`, as one array.
 
     `columns` maps each name, in file order, to str, int or float, read as a str,
-    int64 or float64 array (an int column never goes through float).  A wrong
-    header, a field that holds NUL (a str array would drop a trailing one, so
+    int64 or float64 array (an int column never goes through float).  A sequence
+    of such layouts accepts any of them: the first whose names are the header
+    gives the columns read.  A wrong header (the message names each accepted
+    one), a field that holds NUL (a str array would drop a trailing one, so
     that ``u1\\x00`` read as ``u1``), rows whose last line has no line end (a
     file cut short, whose last row may still parse), a row with a field that
     does not parse, or a file that is not UTF-8, raises `error` with a message
     that starts with the file's path and names the line where one is to blame.
     A file with only its header gives empty columns.
     """
-    names = tuple(columns)
+    layouts = [columns] if isinstance(columns, Mapping) else list(columns)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             line = fh.readline()
             header = next(csv.reader([line]), []) if line else None
-            if header is None or tuple(header) != names:
-                raise error(f"{path}: header must be {','.join(names)}, got {header}")
+            columns = next((layout for layout in layouts
+                            if header is not None and tuple(header) == tuple(layout)), None)
+            if columns is None:
+                wanted = " or ".join(",".join(layout) for layout in layouts)
+                raise error(f"{path}: header must be {wanted}, got {header}")
+            names = tuple(columns)
             body = fh.tell()
             empty = not fh.read(1)
             with path.open("rb") as raw:  # UTF-8 has a 0 byte only where the text holds NUL

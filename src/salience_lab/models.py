@@ -750,11 +750,14 @@ def load_model(path: str | Path, vocabs: Vocabularies):
     a wrong one raises ModelError naming it."""
     def unfitted(meta: dict):
         kind = meta.get("kind")
-        if kind == "td_enet":
-            return TdEnet(vocabs, **meta["enet"])
-        if kind in ("td_mlp", "melchior"):
-            return build_model(kind, vocabs, ArchConfig(**meta["arch"]), meta["seed"])
-        raise ModelError(f"{path}: unknown model kind {kind!r}")
+        try:
+            if kind == "td_enet":
+                return TdEnet(vocabs, **meta["enet"])
+            if kind in ("td_mlp", "melchior"):
+                return build_model(kind, vocabs, ArchConfig(**meta["arch"]), meta["seed"])
+            raise ModelError(f"unknown model kind {kind!r}")
+        except ModelError as exc:
+            raise ModelError(f"{path}: {exc}") from exc
 
     params, model = neural.load_checkpoint(path, unfitted, ModelError)
     model.set_params(params)

@@ -512,7 +512,8 @@ def load_checkpoint(path: str | Path, meta: Callable[[dict], object] = dict,
 
     def layout(manifest: dict):
         if manifest.get("format_version") != CHECKPOINT_VERSION:
-            raise NeuralError(f"unsupported checkpoint version {manifest.get('format_version')}")
+            raise NeuralError(f"unsupported checkpoint version {manifest.get('format_version')} "
+                              f"in {path}")
         arrays = [(str(entry["name"]), entry["shape"]) for entry in manifest["arrays"]]
         for name, shape in arrays:
             if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):

@@ -35,6 +35,10 @@ _CSV_KINDS = {
     "region": str,
 }
 CSV_COLUMNS = tuple(_CSV_KINDS)
+#: The layout write_csv writes: the session columns, then whether the row's trace ended by
+#: completing its game (0 or 1, the same on every row of a trace).  Ingest also accepts
+#: CSV_COLUMNS alone, real telemetry, in which no trace is completed.
+_WRITTEN_KINDS = {**_CSV_KINDS, "completed": int}
 _INT_COLUMNS = tuple(name for name, kind in _CSV_KINDS.items() if kind is int)
 
 #: Columns of the latent sidecar, in order, with the type each is read as.
@@ -357,8 +361,11 @@ def simulate_population(
 
 
 def write_csv(traces: SessionTable, path: str | Path) -> None:
-    """Write a table's sessions to the telemetry CSV format (latent columns excluded)."""
-    csvio.write_columns(Path(path), CSV_COLUMNS, [getattr(traces, name) for name in CSV_COLUMNS])
+    """Write a table's sessions to the telemetry CSV format, each row with its trace's
+    completion (latent columns excluded)."""
+    completed = np.repeat(traces.completed.astype(np.int64), traces.lengths)
+    csvio.write_columns(Path(path), tuple(_WRITTEN_KINDS),
+                        [getattr(traces, name) for name in CSV_COLUMNS] + [completed])
 
 
 def write_latent_csv(traces: SessionTable, path: str | Path) -> None:
@@ -382,15 +389,19 @@ def ingest_csv(path: str | Path) -> SessionTable:
     """Ingest telemetry CSV into a table of traces, one per (user_id, game_id).
 
     Rows are sorted by (user_id, game_id, start_utc) and delta_session is
-    recomputed end-to-start from the timestamps; no trace is marked completed.
-    An error names the file and then the first bad data line, or the first
-    (user, game) pair whose sessions repeat a start or overlap.
+    recomputed end-to-start from the timestamps.  A trace is completed as its
+    rows' `completed` column says; a file without that column (CSV_COLUMNS
+    alone, as real telemetry comes) marks no trace completed.  An error names
+    the file and then the first bad data line, or the first (user, game) pair
+    whose sessions repeat a start or overlap, or whose rows disagree on
+    `completed`.
     """
     path = Path(path)
-    columns = csvio.read_columns(path, _CSV_KINDS, TelemetryError)
+    columns = csvio.read_columns(path, (_WRITTEN_KINDS, _CSV_KINDS), TelemetryError)
     user, game, start = columns["user_id"], columns["game_id"], columns["start_utc"]
     session, play, delta = columns["session_time"], columns["play_time"], columns["delta_session"]
     count, diversity = columns["activity_index"], columns["activity_diversity"]
+    completed = columns.pop("completed", np.zeros(len(user), dtype=np.int64))
     row_checks = (  # in the order each row is checked
         ((user == "") | (game == ""), "empty user_id or game_id"),
         (~(np.isfinite(session) & np.isfinite(play) & np.isfinite(delta)),
@@ -399,6 +410,7 @@ def ingest_csv(path: str | Path) -> SessionTable:
         (start < 0, "negative start_utc"),
         (play > session, "play_time exceeds session_time"),
         ((count < 0) | (diversity < 0) | (diversity > count), "inconsistent activity counts"),
+        ((completed != 0) & (completed != 1), "completed must be 0 or 1"),
     )
     bad = np.logical_or.reduce([mask for mask, _ in row_checks])
     if bad.any():
@@ -411,17 +423,22 @@ def ingest_csv(path: str | Path) -> SessionTable:
     columns = {name: column[order] for name, column in columns.items()}
     user, game, start, session = (columns[name] for name in
                                   ("user_id", "game_id", "start_utc", "session_time"))
+    completed = completed[order]
     same = (user[1:] == user[:-1]) & (game[1:] == game[:-1])  # row i + 1 continues row i's pair
     gap = start[1:] - (start[:-1] + session[:-1])
     pair = np.cumsum(np.r_[0, ~same])
-    repeated, overlapping = pair[1:][same & (start[1:] == start[:-1])], pair[1:][same & (gap < 0)]
-    if repeated.size or overlapping.size:
-        first = min(repeated.min(initial=n), overlapping.min(initial=n))
-        problem = ("non-monotone session timestamps" if first in repeated
-                   else "overlapping sessions")
+    pair_checks = (  # within one pair, in the order each is reported
+        (start[1:] == start[:-1], "non-monotone session timestamps"),
+        (gap < 0, "overlapping sessions"),
+        (completed[1:] != completed[:-1], "rows of one trace disagree on completed"),
+    )
+    firsts = [pair[1:][same & mask].min(initial=n) for mask, _ in pair_checks]
+    first = min(firsts)
+    if first < n:
+        problem = pair_checks[firsts.index(first)][1]
         raise TelemetryError(f"{path}: user {user[np.searchsorted(pair, first)]}: {problem}")
 
     columns["delta_session"] = np.r_[0.0, np.where(same, gap, 0.0)][:n]
     first_rows = np.flatnonzero(np.r_[True, ~same])[:n]
     return SessionTable(**columns, offsets=np.append(first_rows, n).astype(np.int64),
-                        completed=np.zeros(len(first_rows), dtype=bool))
+                        completed=completed[first_rows] == 1)

@@ -1,8 +1,10 @@
 """Hyperband search over architecture and optimizer knobs.
 
-Brackets trade breadth for depth: bracket s starts ceil((s_max+1)/(s+1) *
-eta^s) configurations, trains round i for floor(R * eta^(i-s)) epochs, up to
-R in its last, and keeps the top floor(n / eta) after each round.  A fifth of
+Brackets trade breadth for depth, in integer arithmetic only.  With s_max the
+largest s for which eta^s <= R, bracket s starts the ceiling of the integer
+quotient (s_max + 1) * eta^s / (s + 1) configurations, trains round i for
+max(1, R * eta^i // eta^s) epochs, R in its last, and keeps the top
+max(1, n // eta) of its n trials after each round.  A fifth of
 the training users is carved out once as the validation subset; no trial ever
 trains on them.  Trials run in forked worker processes, one per usable core,
 each pinned to one BLAS thread.

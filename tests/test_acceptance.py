@@ -1,20 +1,21 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-The heavy criteria share a session fixture that runs the bundled synthetic
-benchmark end to end for three seeds (all three estimators trained per seed).
+The heavy criteria share a session fixture that runs the CLI on the bundled
+synthetic benchmark for three seeds (simulate, featurize, all three estimators
+trained, evaluate) and reads back the files it writes.
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines.
 """
 
 from __future__ import annotations
 
 import filecmp
-import math
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from salience_lab import csvio
 from salience_lab.analysis import (
     elbow_select,
     lloyd_kmeans,
@@ -25,29 +26,18 @@ from salience_lab.analysis import (
     silhouette,
     spearman,
 )
-from salience_lab.cli import (
-    _arch_config,
-    _enet_settings,
-    _simulation,
-    _train_config,
-    bundled_config,
-    main,
-)
-from salience_lab.features import Vocab, Vocabularies, build_dataset
+from salience_lab.cli import CliError, main
+from salience_lab.features import Vocab, Vocabularies, build_dataset, load_dataset
 from salience_lab.models import (
     Batch,
     MelchiorModel,
-    TdEnet,
-    TdMlp,
-    build_model,
-    evaluate,
     extract_embedding,
+    load_model,
     make_batches,
     masked_loss,
-    train,
 )
 from salience_lab.neural import Dense, Embedding, GruLayer, bce_loss, smape_loss
-from salience_lab.telemetry import simulate_population
+from salience_lab.telemetry import ingest_csv, read_latent_csv
 from salience_lab.tuning import make_schedule
 from helpers import ACCEPTANCE_LINES, grad_check, random_trace
 
@@ -66,35 +56,39 @@ def verdict(number: int, name: str, ok: bool, detail: str) -> None:
 # Shared benchmark runs
 
 
-@pytest.fixture(scope="session")
-def benchmark_runs():
-    """Simulate + featurize + train all three models for each seed."""
-    config = bundled_config("benchmark")
-    arch = _arch_config(config)
+BENCHMARK = str(Path(__file__).resolve().parents[1] / "src/salience_lab/configs/benchmark.json")
+_LOSSES_COLUMNS = {"model": str, "target": str, "loss": float}
 
+
+@pytest.fixture(scope="session")
+def benchmark_runs(tmp_path_factory):
+    """For each seed, run the CLI's simulate, featurize, train (all three models) and
+    evaluate on the bundled benchmark, and read back what they wrote."""
     runs = {}
     t0 = time.monotonic()
     for seed in SEEDS:
-        config["seed"] = seed
-        traces = simulate_population(**_simulation(config))
-        split = build_dataset(traces, ratio=config["featurize"]["ratio"], seed=seed)
-
-        enet = TdEnet(split.vocabs, **_enet_settings(config)).fit(split.train)
-        mlp = TdMlp(split.vocabs, arch, seed=seed)
-        train(mlp, split, _train_config(config, "td_mlp"))
-        melchior = MelchiorModel(split.vocabs, arch, seed=seed)
-        train(melchior, split, _train_config(config, "melchior"))
-
+        out = tmp_path_factory.mktemp(f"benchmark-seed-{seed}")
+        for argv in (["simulate"], ["featurize"], ["train", "--model", "td_enet"],
+                     ["train", "--model", "td_mlp"], ["train", "--model", "melchior"],
+                     ["evaluate"]):
+            assert main(["--config", BENCHMARK, "--seed", str(seed), "--out", str(out),
+                         *argv]) == 0
+        split = load_dataset(out / "features")
+        melchior = load_model(out / "models" / "melchior.json", split.vocabs)
+        losses = csvio.read_columns(out / "eval" / "losses.csv", _LOSSES_COLUMNS, CliError)
+        reports: dict[str, dict[str, float]] = {}
+        for kind, target, loss in zip(losses["model"].tolist(), losses["target"].tolist(),
+                                      losses["loss"].tolist()):
+            reports.setdefault(kind, {})[target] = loss
+        latent = read_latent_csv(out / "telemetry.latent.csv")
         runs[seed] = {
-            "traces": traces,
+            "traces": ingest_csv(out / "telemetry.csv"),
             "split": split,
-            "reports": {
-                "td_enet": evaluate(enet, split.test).overall,
-                "td_mlp": evaluate(mlp, split.test).overall,
-                "melchior": evaluate(melchior, split.test).overall,
-            },
+            "reports": reports,
             "melchior": melchior,
-            "arch": arch,
+            "arch": melchior.arch,
+            # each user's salience after their last session
+            "true_salience": {user: rows[-1][0] for user, rows in latent.items()},
         }
     runs["elapsed"] = time.monotonic() - t0
     return runs
@@ -367,7 +361,7 @@ def test_criterion_5_salience_recovery(benchmark_runs):
     ok = True
     for seed in SEEDS:
         run = benchmark_runs[seed]
-        true_salience = {t.user_id: float(t.salience[-1]) for t in run["traces"]}
+        true_salience = run["true_salience"]
         pred = _mean_predicted_ss(run["melchior"], run["split"].test)
         users = sorted(pred)
         rho_pred = spearman([true_salience[u] for u in users], [pred[u] for u in users])

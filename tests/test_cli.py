@@ -24,11 +24,21 @@ from salience_lab.cli import (
     main,
     validate_config,
 )
-from salience_lab.features import FeatureError, load_dataset, target_medians
+from salience_lab.features import FeatureError, build_dataset, load_dataset, target_medians
 from salience_lab.neural import NeuralError
-from salience_lab.telemetry import CSV_COLUMNS, TelemetryError, ingest_csv, read_latent_csv
+from salience_lab.telemetry import (
+    CSV_COLUMNS,
+    GameSpec,
+    PopulationSpec,
+    TelemetryError,
+    ingest_csv,
+    read_latent_csv,
+    simulate_population,
+)
 
-SMOKE = str(Path(__file__).resolve().parents[1] / "src/salience_lab/configs/smoke.json")
+CONFIGS = Path(__file__).resolve().parents[1] / "src/salience_lab/configs"
+SMOKE = str(CONFIGS / "smoke.json")
+BENCHMARK = str(CONFIGS / "benchmark.json")
 
 
 @pytest.fixture(scope="module")
@@ -106,31 +116,31 @@ def test_rerun_is_idempotent(pipeline_dir):
 #: arithmetic; the files from models/ on also assume the numpy and OpenBLAS build they were
 #: taken with (numpy 2.4.6, OpenBLAS 0.3.31 on x86-64; the same at 1 and 2 BLAS threads).
 _PINNED_OUTPUTS = {
-    "cluster/clusters.csv": "96cc15123397343fd9a707c976fcfea71cbca6c70be3c1cb4b8d544fad1e2eac",
-    "cluster/elbow.json": "57a324f5a8a9d9193c2d5ffa9b8c6b37cfd2ff0a926e62ebb140e83a0cbb0362",
-    "cluster/profiles.json": "aee8b8e3764161fcadff31078d26d34855508318619497a6e74fec56ffc79914",
-    "embed/embedding_2d.csv": "f083854ccc090b9b6cede39753a4aec9f2bf5d67c348ff3792896cd3c18e738d",
-    "embed/embeddings.csv": "4bec8a0ac97bacc4e9ed84569204ad5eca063477311d6a3c4a7fbcf5d3e92b30",
-    "eval/cells.csv": "64528ad7ede10ec9b488525cf46b1d338a0cf395b1645f69a178a16481ff1e82",
-    "eval/losses.csv": "b337480ca5f4e2c5344be6235ee9028374de8df105645f60bb54bb7860c4e3db",
-    "eval/report.json": "9d477385d416037662e245286b75a7097be02768b581812cc4c638c375d4e346",
+    "cluster/clusters.csv": "03be80ebc8b8fd46f3e90652ad14de695c03b00c33952b38fff82ac34bc3cdfe",
+    "cluster/elbow.json": "9ecc01af048dcd2cb5b2d440a3937cb9eda911e9572081d443d2752a9406bd7d",
+    "cluster/profiles.json": "4515d92a2953f0f592a6a4ef0295d7aad4a9e12edc17dafe418a34fd6c1635e7",
+    "embed/embedding_2d.csv": "3bd59dd6800dcc49ecc39fa9d5281afe213e3d62549be24962c09c7c076abee4",
+    "embed/embeddings.csv": "118864c8029f7525f95dcfa490f1f8154434bfd81c80de5a88c02efd94741d8b",
+    "eval/cells.csv": "0bc0fe057efd7b616ab034e9df6947f83c26c57b7efd813665df58195fb17674",
+    "eval/losses.csv": "d593d34f7371de298a8cf9ab6e375c5c86dda520701d8be0066935ca6d94302c",
+    "eval/report.json": "ef545a3e63f3db2d6bf16a3195b07b9213411d2617f963d54187871f4d94a79a",
     "features/manifest.json": "110ebaa73dc457afcf2d28fc8d6b36c1273f30b16ad1fe011821e0c5129bda2d",
-    "features/test.csv": "d2ee7675acb53a2ba20a36c59680834e4c79a6b104cf06458c3c14a5bb0697e0",
-    "features/train.csv": "fbcf261cce51f57e2fe9e1624304f8a67dcd30d5f7ca4332c148a48c37c9ed14",
-    "models/melchior.bin": "d124a5acdfa07f29ba1b9486e3c4061cb9aeb9497418172671ea7b3710a07627",
+    "features/test.csv": "5f892c0b7451a0f5d0eca24acfa4529f2c582cf73346aa7a905fcb860fce581e",
+    "features/train.csv": "02f67cccc18cee7f80db9a1df9dfd9dbc5c9036d94c1c427570e713e96def92f",
+    "models/melchior.bin": "734f8543d423c4315eb6db567ab98d906c8e423edfc9aed94b3549ad92380c45",
     "models/melchior.json": "75143ea17f2bf311449da32d4290d07ed77bf4e2f89a0ce97a96e9f8ef25fec0",
-    "models/melchior_history.csv": "08d7f184933adce92753d90a23fa53d8c49b660bcd85ae9afe5e583b273037b5",
-    "models/td_enet.bin": "ca2fffccbd64237cae971763156757cc54aada7ae70e66f2face7ab457c9b181",
+    "models/melchior_history.csv": "45a24f4d7df4f33b1e32e0fd48f1c4879edf30b2a1e488dec4834355a8f5d544",
+    "models/td_enet.bin": "68652aea5ee58a7e9e747e6708af946300d68bdcaba281e5a8231ecccae12ef0",
     "models/td_enet.json": "9c2cbaecef94c17e20642b92b2e355e415dcc5d10fb702df0e0cc1710e02ff7c",
     "models/td_enet_history.csv": "45aaddbdb8954d2222d14d7aff87b16b4bfe3dde8ae03d4a22355aa6f5b8b167",
-    "models/td_mlp.bin": "a6a23b058e2e220ebe2a87ff28333a92091ad2429b7c77da555369929e414c40",
+    "models/td_mlp.bin": "a60f39bb3a149e5716351d9735ad1132e01d77d72aeca1a6d22bbf26c3f1644a",
     "models/td_mlp.json": "095cc79a5a66dad8559e9ffecc02d09d89924e9a6234dfd85e72781d1da5a63d",
-    "models/td_mlp_history.csv": "2f13d37df09e530c9f9c7cce0b5c493d983749dacb9a57b69547e743f27d491f",
-    "report/comparison.csv": "18fbe500955f0c3d5c878b5dcc885dd48c4e33260febf091fb24d21a7d5d4d47",
-    "report/embedding.svg": "2b65756273cf0010062f88e0aabf36441e2d95b99e84904336712bd4680e8ea2",
-    "report/profile_delta_session.svg": "e778b6808eab64cedb134c33a3295d4ee1ee1777249a7761a409c49808e30a77",
-    "report/profile_session_time.svg": "91b0e4db5b5d6940cc7bd8a9de5be7e9ea620ff180ec1fbd242ef54e476ea985",
-    "telemetry.csv": "f1af223f2d4fcaaa16570bd53c4827b35fe2f8f449753e8019864e3aa27e5a05",
+    "models/td_mlp_history.csv": "c0cc339291b2ea7a1520a7111febe605f3346bc78360db8c48a542fb1b122d4e",
+    "report/comparison.csv": "1fc86abc16d78ebb5f51dce3e72f624e282b60099044a4706a8b0bb98dd3f41c",
+    "report/embedding.svg": "7e50481b631bcafd01e3d9c1bbf3d094757a357f9b313312589191cca2cc6f1f",
+    "report/profile_delta_session.svg": "46c9c09b6e8cde77f0862ebd99313b9e60316d44d75899ea09f1bc41755c41c6",
+    "report/profile_session_time.svg": "f1c954a7f8e7b2168a488aaf3d305e6dd262d91201d946e86db65da15b80f73b",
+    "telemetry.csv": "92c73e18c2f31a7e6518e4d58133dae45f90d442440a3703f170fe516fa5f71b",
     "telemetry.latent.csv": "b6de501d3878f354d55fe5c35cd6515592afb0ce5338bf94b2c79bd00cf881b5",
 }
 _FEATURIZATION = ("telemetry.csv", "features/train.csv", "features/test.csv",
@@ -148,6 +158,28 @@ def test_featurized_split_is_pinned(tmp_path):
         rel: _PINNED_OUTPUTS[rel] for rel in _FEATURIZATION}
 
 
+def test_the_cli_split_is_the_library_split(tmp_path):
+    """simulate and featurize through the CLI, with its CSV round trips, build the split
+    that the library builds in memory from the same config."""
+    config = bundled_config("benchmark")
+    sim = config["simulate"]
+    traces = simulate_population([GameSpec(**game) for game in sim["games"]],
+                                 sim["players_per_game"], sim["calendar_start"],
+                                 sim["horizon_days"], seed=0,
+                                 population=PopulationSpec(**sim["population"]))
+    library = build_dataset(traces, ratio=config["featurize"]["ratio"], seed=0)
+    for command in ("simulate", "featurize"):
+        assert main(["--config", BENCHMARK, "--seed", "0", "--out", str(tmp_path), command]) == 0
+    loaded = load_dataset(tmp_path / "features")
+    assert loaded.traces == library.traces
+    assert loaded.n_train == library.n_train
+    assert loaded.vocabs == library.vocabs
+    assert loaded.scaler == library.scaler
+    assert loaded.thresholds == library.thresholds
+    # the 15,325 training rows labelled churn 0 (completed), 0.5 and 1
+    assert np.unique(loaded.train.churn, return_counts=True)[1].tolist() == [2745, 7389, 5191]
+
+
 def test_every_pipeline_output_is_pinned(tmp_path):
     for argv in (["simulate"], ["featurize"], ["train", "--model", "td_enet"],
                  ["train", "--model", "td_mlp"], ["train", "--model", "melchior"],
@@ -162,11 +194,11 @@ def test_every_pipeline_output_is_pinned(tmp_path):
 #: traces, shaped like the wide-population benchmark: 200 players per game over 2 days,
 #: the completing game completed after 10 sessions.
 _MANY_SHORT_TRACES = {
-    "telemetry.csv": "0954d2816ecb21385c8a7879ad5eb89707670358488f471d4cbd69b16bb7564e",
+    "telemetry.csv": "fe8487d4e645514bb53834342e39e5869a1d13d809b8a5b64ceab781829f82c7",
     "telemetry.latent.csv": "f23267b22361b5f07685ccefd1640d20561158a8009f36ebdd61655ed4dd884e",
     "features/manifest.json": "30d734eab1dbcbf7e3d948a40641bd0fe79dd2577a70b58ef68d2f45f80999ff",
-    "features/test.csv": "0bc186571049b8a5c1354115ea229e3832d71546322b183460fca9dd40048ed1",
-    "features/train.csv": "fdcd8a690f8e7198db2ee48c2487a2a40820cebabf8475ef8d8193b1c408f9e4",
+    "features/test.csv": "dd80292222543c4c3b619757ebc211633e4b0867f32d9bf454cd830c035ef7c1",
+    "features/train.csv": "c038dcf8de006dc7dc4c31a411c228bfdb99c57521ccccc77836ae26d0d21734",
 }
 
 
@@ -187,8 +219,8 @@ def test_many_short_traces_are_pinned(tmp_path):
 #: sha256 of what tune writes on smoke.json at seed 0; its trials train in worker
 #: processes pinned to one BLAS thread each.
 _PINNED_TUNE = {
-    "tune/best_config.json": "df1f89aad36c23f4e1df63a4ca2e67026d5cc993e7a896c0235c0b4ccccd9671",
-    "tune/trials.csv": "89e06f6fd40bf1d99b261e67681dd9ba7e03dd738b832bd94b8cf322cd1ace8c",
+    "tune/best_config.json": "0fd056c7b3ef2d4e1a15e81d0a2f6cfc691f24f9c7d0f022aae7235486aa6cdc",
+    "tune/trials.csv": "526be0680893667c32740d05671ea9be6ae4dddfe2ccf365e60569335ac4a848",
 }
 
 
@@ -319,6 +351,28 @@ def _directory(path: Path) -> None:
     path.mkdir()
 
 
+def _completed_in_line_2(value: bytes | None):
+    """A damage that sets the completed field, the last, of the telemetry's line 2 to value,
+    or flips it (None), so that it differs from line 3 of the same trace."""
+    def damage(path: Path) -> None:
+        lines = path.read_bytes().split(b"\r\n")
+        fields, following = lines[1].split(b","), lines[2].split(b",")
+        assert fields[:2] == following[:2]  # lines 2 and 3 hold one trace
+        fields[-1] = {b"0": b"1", b"1": b"0"}[fields[-1]] if value is None else value
+        lines[1] = b",".join(fields)
+        path.write_bytes(b"\r\n".join(lines))
+    return damage
+
+
+def _replaced(old: bytes, new: bytes):
+    """A damage that replaces the first old in the file by new."""
+    def damage(path: Path) -> None:
+        blob = path.read_bytes()
+        assert old in blob
+        path.write_bytes(blob.replace(old, new, 1))
+    return damage
+
+
 _CSV_FAULTS = {"cut-inside-a-field": _cut_inside_a_field, "non-utf8-byte": _inserted(b"\xe9"),
                "nul": _inserted(b"\x00"), "empty": _empty,
                "number-does-not-parse": _csv_number_does_not_parse, "wrong-header": _wrong_header}
@@ -349,6 +403,12 @@ _FAULT_CASES = [
     pytest.param("config.json", "simulate", _directory, id="config-directory"),
     pytest.param("config.json", "simulate", _not_utf8, id="config-not-utf8"),
     pytest.param("telemetry.csv", "featurize", _append_e9, id="telemetry-not-utf8"),
+    pytest.param("telemetry.csv", "featurize", _completed_in_line_2(b"2"),
+                 id="telemetry-completed-2"),
+    pytest.param("telemetry.csv", "featurize", _completed_in_line_2(None),
+                 id="telemetry-completed-changes-within-a-trace"),
+    pytest.param("telemetry.csv", "featurize", _replaced(b"completed", b"completd"),
+                 id="telemetry-completed-misspelled-in-the-header"),
     pytest.param("features/test.csv", "evaluate", _bad_session_index,
                  id="split-session-index-not-an-int"),
     pytest.param("features/test.csv", "evaluate", _cut_inside_a_field,
@@ -378,6 +438,10 @@ _FAULT_CASES = [
                  id="checkpoint-meta-lacks-arch"),
     pytest.param("models/td_mlp.json", "evaluate",
                  _edit(lambda m: m["arrays"][0].update(shape="x")), id="checkpoint-shape-not-a-list"),
+    pytest.param("models/td_mlp.json", "evaluate", _edit(lambda m: m.update(format_version=99)),
+                 id="checkpoint-version-99"),
+    pytest.param("models/td_mlp.json", "evaluate", _edit(lambda m: m["meta"]["arch"].update(d_z=0)),
+                 id="checkpoint-arch-d-z-0"),
     pytest.param("models/td_enet.json", "evaluate", _edit(lambda m: m["meta"].pop("enet")),
                  id="td-enet-checkpoint-meta-lacks-enet"),
     pytest.param("models/melchior.json", "embed", _edit(lambda m: m.pop("meta")),

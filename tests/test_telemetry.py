@@ -215,6 +215,41 @@ def test_csv_round_trip(tmp_path, small_population):
         assert by_user[original.user_id].salience is None
 
 
+def test_a_file_without_the_completed_column_marks_no_trace_completed(tmp_path,
+                                                                      small_population):
+    path = tmp_path / "telemetry.csv"
+    write_csv(small_population, path)
+    assert small_population.completed.any()
+    assert np.array_equal(ingest_csv(path).completed, small_population.completed)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    real = tmp_path / "real.csv"
+    real.write_text("".join(line.rsplit(",", 1)[0] + "\r\n" for line in lines),
+                    encoding="utf-8", newline="")
+    assert lines[0].rsplit(",", 1) == [",".join(CSV_COLUMNS), "completed"]
+    recovered = ingest_csv(real)
+    assert not recovered.completed.any()
+    for name in CSV_COLUMNS:
+        assert np.array_equal(getattr(recovered, name), getattr(small_population, name)), name
+
+
+_NINE = ",".join(CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("last, flags, message", [
+    ("completed", ("0", "2"), "line 3: completed must be 0 or 1"),
+    ("completed", ("0", "1"), "user u1: rows of one trace disagree on completed"),
+    ("completd", ("0", "0"),
+     f"header must be {_NINE},completed or {_NINE}, got {[*CSV_COLUMNS, 'completd']}"),
+], ids=["value-2", "disagreeing-rows", "misspelled-header"])
+def test_ingest_rejects_a_bad_completed_column_naming_it(tmp_path, last, flags, message):
+    path = tmp_path / "telemetry.csv"
+    lines = [f"{_NINE},{last}", f"u1,g,0,30.0,20.0,0.0,3,2,eu,{flags[0]}",
+             f"u1,g,100,10.0,5.0,0.0,3,1,eu,{flags[1]}"]
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+    with pytest.raises(TelemetryError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        ingest_csv(path)
+
+
 def test_latent_sidecar_round_trip(tmp_path, small_population):
     path = tmp_path / "telemetry.latent.csv"
     write_latent_csv(small_population, path)
