@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -342,29 +342,24 @@ class PartitionProfile:
 
 
 def profile_partitions(
-    assignments: Mapping[str, int],
+    assignments: np.ndarray,
     traces: FeatureTable,
     scaler: ScalerStats,
     max_session_index: int = 20,
 ) -> PartitionProfile:
     """Mean +/- 95% CI of unscaled inputs per session index, per cluster.
 
-    Each cluster's members are its users' traces, in user order.  Target
-    distributions are quartiles over the members' target_medians; a member
-    with no observed absence (nan) adds nothing to `ab`.
+    assignments[i] is trace i's cluster.  Each cluster's members are its
+    traces, in table order.  Target distributions are quartiles over the
+    members' target_medians; a member with no observed absence (nan) adds
+    nothing to `ab`.
     """
-    users = traces.user_id.tolist()
-    known = set(users)
-    missing = [u for u in assignments if u not in known]
-    if missing:
-        raise AnalysisError(f"assignments reference unknown users: {missing[:3]}")
-
-    cluster_of = np.array([assignments.get(u) for u in users], dtype=object)
-    by_user = np.argsort(traces.user_id, kind="stable")
+    if len(assignments) != len(traces):
+        raise AnalysisError(f"{len(assignments)} cluster assignments for {len(traces)} traces")
     lengths, medians = traces.lengths, target_medians(traces, scaler)
     clusters: dict[int, dict] = {}
-    for cid in sorted(set(assignments.values())):
-        members = by_user[cluster_of[by_user] == cid]
+    for cid in np.unique(assignments).tolist():
+        members = np.flatnonzero(assignments == cid)
         first, length = traces.first_rows[members], lengths[members]
         t_max = min(max_session_index, int(length.max()))
         curves: dict[str, list] = {}

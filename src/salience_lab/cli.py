@@ -135,7 +135,7 @@ class TuneConfig:
 
 @dataclasses.dataclass(frozen=True)
 class AnalysisConfig:
-    """The `analysis` section: the users `embed` and `cluster` take, and the k range."""
+    """The `analysis` section: the traces `embed` and `cluster` take, and the k range."""
 
     k_range: tuple[int, int] = (2, 6)  # inclusive
     scope: str = "test"  # "test": the test split; "all": train and test
@@ -366,12 +366,18 @@ def cmd_evaluate(config: dict, out: Path) -> None:
     print(f"evaluate: {len(found)} models -> {eval_dir / 'losses.csv'}")
 
 
+def scope_traces(split: DatasetSplit, scope: str) -> features.FeatureTable:
+    """The traces that `embed` and `cluster` analyse, in (user_id, game_id) order: the
+    test split for scope "test", the training and test traces for "all"."""
+    traces = split.test if scope == "test" else split.traces
+    return traces.take(np.lexsort((traces.game_id, traces.user_id)))
+
+
 def _embedding_inputs(config: dict, out: Path):
     split = _load_split(out)
     path = _need(out / "models" / "melchior.json", "train --model melchior")
     model = models.load_model(path, split.vocabs)
-    scope = _analysis_config(config).scope
-    traces = split.test if scope == "test" else split.traces
+    traces = scope_traces(split, _analysis_config(config).scope)
     if not traces:
         raise CliError("embed: no traces in the selected scope")
     return split, model, traces
@@ -379,7 +385,7 @@ def _embedding_inputs(config: dict, out: Path):
 
 def cmd_embed(config: dict, out: Path) -> None:
     split, model, traces = _embedding_inputs(config, out)
-    users, z_final = models.extract_embedding(model, traces)
+    z_final = models.extract_embedding(model, traces)
     projection = analysis.pca_fit(z_final)
     coords = analysis.pca_transform(projection, z_final)
 
@@ -388,38 +394,34 @@ def cmd_embed(config: dict, out: Path) -> None:
     _write_csv(
         embed_dir / "embeddings.csv",
         ["user_id"] + [f"z{i}" for i in range(d_z)],
-        [users, *z_final.T],
+        [traces.user_id, *z_final.T],
     )
-    by_user = np.argsort(traces.user_id, kind="stable")  # the traces in the order of users
-    medians = features.target_medians(traces, split.scaler)[by_user]
+    medians = features.target_medians(traces, split.scaler)
     medians[np.isnan(medians)] = 0.0  # absence never observed
     _write_csv(
         embed_dir / "embedding_2d.csv",
         tuple(_EMBEDDING_2D_COLUMNS),
-        [users, *coords[:, :2].T, traces.game_id[by_user], *medians.T],
+        [traces.user_id, *coords[:, :2].T, traces.game_id, *medians.T],
     )
-    print(f"embed: {len(users)} users -> {embed_dir / 'embedding_2d.csv'}")
+    print(f"embed: {len(traces)} traces -> {embed_dir / 'embedding_2d.csv'}")
 
 
 def cmd_cluster(config: dict, out: Path) -> None:
     split, model, traces = _embedding_inputs(config, out)
-    users, z_final = models.extract_embedding(model, traces)
+    z_final = models.extract_embedding(model, traces)
     k_lo, k_hi = _analysis_config(config).k_range
     elbow = analysis.elbow_select(z_final, range(k_lo, k_hi + 1), seed=config["seed"])
-    assignments = {u: int(c) for u, c in zip(users, elbow.model.assign(z_final))}
+    assignments = elbow.model.assign(z_final)
     profile = analysis.profile_partitions(assignments, traces, split.scaler)
 
     cluster_dir = out / "cluster"
-    _write_csv(
-        cluster_dir / "clusters.csv",
-        ["user_id", "cluster"],
-        [users, [assignments[u] for u in users]],
-    )
+    _write_csv(cluster_dir / "clusters.csv", ["user_id", "game_id", "cluster"],
+               [traces.user_id, traces.game_id, assignments])
     csvio.write_json(cluster_dir / "profiles.json",
                      {str(cid): entry for cid, entry in profile.clusters.items()})
     csvio.write_json(cluster_dir / "elbow.json", {"k": elbow.k_values, "inertia": elbow.inertias,
                      "marginal_gain": elbow.marginal_gains, "chosen_k": elbow.chosen_k})
-    print(f"cluster: k={elbow.chosen_k} over {len(users)} users -> {cluster_dir}")
+    print(f"cluster: k={elbow.chosen_k} over {len(traces)} traces -> {cluster_dir}")
 
 
 def _profile_curves(profile: dict) -> dict[str, dict[str, list]]:

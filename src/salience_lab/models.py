@@ -56,8 +56,7 @@ class Batch:
     mask: np.ndarray  # (B, T) 1.0 on valid steps
     targets: dict[str, np.ndarray]  # name -> (B, T)
     ab_mask: np.ndarray  # (B, T), observed-absence flags (already 0 on padding)
-    user_ids: list[str]
-    game_ids: list[str]
+    index: np.ndarray  # (B,) int64, each trace's position in the batched table
     lengths: np.ndarray  # (B,) int64
 
 
@@ -72,7 +71,8 @@ def make_batches(traces: FeatureTable, batch_size: int) -> list[Batch]:
     order = np.lexsort((traces.user_id, traces.lengths))
     batches = []
     for lo in range(0, len(order), batch_size):
-        chunk = traces.take(order[lo : lo + batch_size])
+        index = order[lo : lo + batch_size]
+        chunk = traces.take(index)
         lengths = chunk.lengths
         valid = np.arange(lengths.max()) < lengths[:, None]  # (B, T)
 
@@ -89,8 +89,7 @@ def make_batches(traces: FeatureTable, batch_size: int) -> list[Batch]:
                 mask=valid.astype(np.float64),
                 targets={name: padded(getattr(chunk, field)) for name, field in TARGETS.items()},
                 ab_mask=padded(chunk.ab_mask),
-                user_ids=chunk.user_id.tolist(),
-                game_ids=chunk.game_id.tolist(),
+                index=index,
                 lengths=lengths,
             )
         )
@@ -175,6 +174,18 @@ class _EmbeddingBank:
         return self.tables + [self.game]
 
 
+def _check_params(values: Mapping[str, np.ndarray], shapes: Mapping[str, tuple]) -> None:
+    """Raise ModelError unless values holds exactly the named arrays, each of its shape."""
+    missing = [k for k in shapes if k not in values]
+    if missing:
+        raise ModelError(f"missing parameter {', '.join(missing)}")
+    for k, v in values.items():
+        if k not in shapes:
+            raise ModelError(f"unknown parameter {k}")
+        if shapes[k] != np.shape(v):
+            raise ModelError(f"parameter {k}: shape {np.shape(v)} != {shapes[k]}")
+
+
 def _tanh_stack(in_dim: int, width: int, depth: int, rng: np.random.Generator,
                 prefix: str) -> list[Dense]:
     """depth tanh Dense layers of the given width, named prefix0, prefix1, ..."""
@@ -240,14 +251,8 @@ class _GradientModel:
 
     def set_params(self, values: Mapping[str, np.ndarray]) -> None:
         own = self.params()
-        missing = [k for k in own if k not in values]
-        if missing:
-            raise ModelError(f"missing parameter {', '.join(missing)}")
+        _check_params(values, {k: p.shape for k, p in own.items()})
         for k, v in values.items():
-            if k not in own:
-                raise ModelError(f"unknown parameter {k}")
-            if own[k].shape != np.shape(v):
-                raise ModelError(f"parameter {k}: shape {np.shape(v)} != {own[k].shape}")
             own[k][...] = v
 
     def loss_and_grads(self, batch: Batch, weights: Sequence[float]) -> tuple[float, dict]:
@@ -526,9 +531,7 @@ class TdEnet:
         return {f"enet.{name}": w for name, w in self.weights.items()}
 
     def set_params(self, values: Mapping[str, np.ndarray]) -> None:
-        missing = [f"enet.{name}" for name in TARGETS if f"enet.{name}" not in values]
-        if missing:
-            raise ModelError(f"missing parameter {', '.join(missing)}")
+        _check_params(values, {f"enet.{name}": (self.feature_width + 1,) for name in TARGETS})
         for name in TARGETS:
             self.weights[name] = np.asarray(values[f"enet.{name}"], dtype=np.float64).copy()
 
@@ -647,17 +650,17 @@ class EvalReport:
 
 
 def evaluate_outputs(
+    traces: FeatureTable,
     batches: Sequence[Batch],
     outputs_per_batch: Sequence[Mapping[str, np.ndarray]],
 ) -> EvalReport:
-    """Aggregate per-target losses from precomputed outputs.
+    """Aggregate per-target losses from precomputed outputs on batches of traces.
 
     Each cell (game, session index) sums its terms with one bincount per
     target over the valid steps of all batches, taken batch by batch and row
     by row, so every cell adds its terms in trace and step order.
     """
-    games = sorted({g for batch in batches for g in batch.game_ids})
-    game_code = {g: i for i, g in enumerate(games)}
+    games, game_codes = np.unique(traces.game_id, return_inverse=True)
     width = max((batch.mask.shape[1] for batch in batches), default=0)
     overall_sum = {name: 0.0 for name in TARGETS}
     overall_cnt = {name: 0.0 for name in TARGETS}
@@ -665,8 +668,7 @@ def evaluate_outputs(
     cell_terms: dict[str, list[np.ndarray]] = {name: [] for name in TARGETS}
     for batch, outputs in zip(batches, outputs_per_batch):
         masks = _loss_masks(batch)
-        codes = np.asarray([game_code[g] for g in batch.game_ids], dtype=np.int64)
-        keys = codes[:, None] * width + np.arange(batch.mask.shape[1])
+        keys = game_codes[batch.index][:, None] * width + np.arange(batch.mask.shape[1])
         for name, (_, _, terms_fn) in HEADS.items():
             terms = terms_fn(outputs[name], batch.targets[name])
             m = masks[name]
@@ -689,7 +691,7 @@ def evaluate_outputs(
         for key in np.flatnonzero(counts):
             game, step = divmod(int(key), width)
             count = int(counts[key])
-            cells.append({"game": games[game], "session_index": step + 1, "target": name,
+            cells.append({"game": str(games[game]), "session_index": step + 1, "target": name,
                           "loss": float(sums[key]) / count, "count": count})
     cells.sort(key=lambda c: (c["game"], c["session_index"], c["target"]))
     return EvalReport(overall=overall, cells=cells)
@@ -701,34 +703,24 @@ def evaluate(model, traces: FeatureTable, batch_size: int = 64) -> EvalReport:
         raise ModelError("evaluate requires a non-empty test split")
     batches = make_batches(traces, batch_size)
     outputs = [model.forward(batch) for batch in batches]
-    return evaluate_outputs(batches, outputs)
+    return evaluate_outputs(traces, batches, outputs)
 
 
 # ---------------------------------------------------------------------------
 # Embedding extraction
 
 
-def extract_embedding(
-    model: MelchiorModel, traces: FeatureTable, batch_size: int = 64
-) -> tuple[list[str], np.ndarray]:
-    """Each user's salience state after their final session, from a plain forward pass.
+def extract_embedding(model: MelchiorModel, traces: FeatureTable,
+                      batch_size: int = 64) -> np.ndarray:
+    """Each trace's salience state after its final session, from a plain forward pass.
 
-    Returns the users in sorted order and their (n_users, d_z) states.  The rows
-    are keyed by user, so a user with traces in several games is rejected rather
-    than keeping only one of them.
+    Row i of the (len(traces), d_z) result is trace i's state.
     """
-    users: list[str] = []
-    finals = []
+    z = np.empty((len(traces), model.arch.d_z))
     for batch in make_batches(traces, batch_size):
         model.forward(batch)
-        users.extend(batch.user_ids)
-        finals.append(model.hidden_states[np.arange(len(batch.user_ids)), batch.lengths - 1])
-    order = sorted(range(len(users)), key=users.__getitem__)
-    users = [users[i] for i in order]
-    for a, b in zip(users, users[1:]):
-        if a == b:
-            raise ModelError(f"user {a} has more than one trace; embeddings are keyed by user")
-    return users, np.concatenate(finals)[order]
+        z[batch.index] = model.hidden_states[np.arange(len(batch.index)), batch.lengths - 1]
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +739,8 @@ def save_model(model, path: str | Path) -> None:
 
 def load_model(path: str | Path, vocabs: Vocabularies):
     """The model that save_model wrote; a checkpoint whose meta lacks a field or holds
-    a wrong one raises ModelError naming it."""
+    a wrong one, or whose arrays are not the model's parameters, raises ModelError
+    naming it."""
     def unfitted(meta: dict):
         kind = meta.get("kind")
         try:
@@ -760,7 +753,10 @@ def load_model(path: str | Path, vocabs: Vocabularies):
             raise ModelError(f"{path}: {exc}") from exc
 
     params, model = neural.load_checkpoint(path, unfitted, ModelError)
-    model.set_params(params)
+    try:
+        model.set_params(params)
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from exc
     return model
 
 

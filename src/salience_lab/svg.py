@@ -116,9 +116,8 @@ def curve_plot(curves: dict[str, list[tuple[int, float, float | None]]], title: 
     canvas = Canvas(width, height)
     margin = 48
     xs = [x for rows in curves.values() for x, _, _ in rows]
-    ys = [y for rows in curves.values() for _, y, h in rows] + [
-        y + (h or 0.0) for rows in curves.values() for _, y, h in rows
-    ]
+    ys = [y + sign * (h or 0.0) for rows in curves.values() for _, y, h in rows
+          for sign in (-1.0, 1.0)]  # each band's edges; a row without one is its mean
     if not xs:
         canvas.text(width / 2, height / 2, "no data", anchor="middle")
         return canvas

@@ -26,7 +26,7 @@ from salience_lab.analysis import (
     silhouette,
     spearman,
 )
-from salience_lab.cli import CliError, main
+from salience_lab.cli import CliError, main, scope_traces
 from salience_lab.features import Vocab, Vocabularies, build_dataset, load_dataset
 from salience_lab.models import (
     Batch,
@@ -200,8 +200,7 @@ def test_criterion_1_gradient_suite():
             mask=mask,
             targets={name: rng.uniform(0.1, 0.9, size=(B, T)) for name in TARGETS},
             ab_mask=ab_mask,
-            user_ids=["a", "b"],
-            game_ids=["g", "g"],
+            index=np.arange(B),
             lengths=np.array([3, 2]),
         )
         weights = (0.25, 0.25, 0.25, 0.25)
@@ -351,7 +350,7 @@ def _mean_predicted_ss(model, traces):
     out = {}
     for batch in make_batches(traces, 64):
         preds = model.forward(batch)
-        for i, user in enumerate(batch.user_ids):
+        for i, user in enumerate(traces.user_id[batch.index].tolist()):
             out[user] = float(preds["ss"][i, : int(batch.lengths[i])].mean())
     return out
 
@@ -365,10 +364,12 @@ def test_criterion_5_salience_recovery(benchmark_runs):
         pred = _mean_predicted_ss(run["melchior"], run["split"].test)
         users = sorted(pred)
         rho_pred = spearman([true_salience[u] for u in users], [pred[u] for u in users])
-        z_users, z_final = extract_embedding(run["melchior"], run["split"].test)
+        test = run["split"].test
+        z_final = extract_embedding(run["melchior"], test)
         # the principal axis has arbitrary orientation; magnitude is the claim
         rho_pc = abs(
-            spearman([true_salience[u] for u in z_users], principal_scores(z_final).tolist())
+            spearman([true_salience[u] for u in test.user_id.tolist()],
+                     principal_scores(z_final).tolist())
         )
         rows.append((seed, rho_pred, rho_pc))
         ok = ok and rho_pred >= 0.5 and rho_pc >= 0.5
@@ -387,13 +388,11 @@ def test_criterion_6_embedding_separation(benchmark_runs):
     ok = True
     for seed in SEEDS:
         run = benchmark_runs[seed]
-        z_users, z_final = extract_embedding(run["melchior"], run["split"].test)
-        games = {t.user_id: t.game_id for t in run["split"].test}
-        labels = [games[u] for u in z_users]
+        test = run["split"].test
+        z_final = extract_embedding(run["melchior"], test)
+        labels = test.game_id
         sil_z = silhouette(z_final, labels, seed=seed)
-        raw = np.stack(
-            [ft.behaviour[-1] for ft in sorted(run["split"].test, key=lambda t: t.user_id)]
-        )
+        raw = test.behaviour[test.last_rows]
         baseline = silhouette(
             random_orthogonal_projection(raw, run["arch"].d_z, seed=seed), labels, seed=seed
         )
@@ -417,11 +416,10 @@ def test_criterion_7_profile_contrast(benchmark_runs):
     ok = True
     for seed in SEEDS:
         run = benchmark_runs[seed]
-        everyone = run["split"].train + run["split"].test
-        z_users, z_final = extract_embedding(run["melchior"], everyone)
+        everyone = scope_traces(run["split"], "all")  # as `embed` takes scope "all"
+        z_final = extract_embedding(run["melchior"], everyone)
         elbow = elbow_select(z_final, range(2, 7), seed=seed)
-        assignments = {u: int(c) for u, c in zip(z_users, elbow.model.assign(z_final))}
-        profile = profile_partitions(assignments, everyone, run["split"].scaler)
+        profile = profile_partitions(elbow.model.assign(z_final), everyone, run["split"].scaler)
         ranked = profile.ranked_by_median_ss()
         low = profile.clusters[ranked[0]]
         high = profile.clusters[ranked[-1]]

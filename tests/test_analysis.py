@@ -263,7 +263,7 @@ def test_profile_partitions_counts_and_contrast():
     split = build_dataset(traces, ratio=0.8, seed=21)
     everyone = split.train + split.test
     # assign by trace length: a crude but honest engagement partition
-    assignments = {t.user_id: (1 if t.length >= 15 else 0) for t in everyone}
+    assignments = (everyone.lengths >= 15).astype(int)
     profile = profile_partitions(assignments, everyone, split.scaler)
     assert sum(c["count"] for c in profile.clusters.values()) == len(everyone)
     ranked = profile.ranked_by_median_ss()
@@ -279,7 +279,8 @@ def test_profile_single_member_cluster_mean_only():
                                  horizon_days=10, seed=3)
     split = build_dataset(traces, ratio=0.8, seed=3)
     everyone = split.train + split.test
-    assignments = {t.user_id: (0 if i else 1) for i, t in enumerate(everyone)}
+    assignments = np.zeros(len(everyone), dtype=int)
+    assignments[0] = 1
     profile = profile_partitions(assignments, everyone, split.scaler)
     lone = profile.clusters[1]
     assert lone["count"] == 1
@@ -287,20 +288,20 @@ def test_profile_single_member_cluster_mean_only():
     assert first_row["ci"] is None and first_row["mean"] is not None
 
 
-def test_profile_unknown_user_errors():
+def test_profile_assignments_of_another_length_error():
     with pytest.raises(AnalysisError):
-        profile_partitions({"ghost": 0}, feature_table([]), None)
+        profile_partitions(np.array([0]), feature_table([]), None)
+    with pytest.raises(AnalysisError):
+        profile_partitions(np.array([0]), feature_table([2, 3]), None)
 
 
 def _reference_profile(assignments, traces, scaler, max_session_index=20):
-    """profile_partitions one member trace at a time, through a by-user dict."""
+    """profile_partitions one member trace at a time, in table order."""
     from salience_lab.features import BEHAVIOUR_FIELDS, TARGETS, invert_scaler, target_medians
 
-    by_user = {t.user_id: t.index for t in traces}
     clusters = {}
-    for cid in sorted(set(assignments.values())):
-        picked = sorted((by_user[u] for u, c in assignments.items() if c == cid),
-                        key=lambda i: traces[i].user_id)
+    for cid in sorted(set(assignments)):
+        picked = [i for i, c in enumerate(assignments) if c == cid]
         members = [traces[i] for i in picked]
         t_max = min(max_session_index, max(m.length for m in members))
         unscaled = [np.stack([invert_scaler(scaler, name, m.behaviour[:t_max, j])
@@ -334,9 +335,9 @@ def test_profile_partitions_equal_the_per_member_reference():
                                  horizon_days=12, seed=4)
     split = build_dataset(traces, ratio=0.6, seed=4)
     # every third trace left out; clusters by game and length
-    assignments = {t.user_id: t.game_idx * 10 + min(t.length // 6, 2)
-                   for t in split.traces if t.index % 3}
-    assert len(set(assignments.values())) >= 4
+    kept = split.traces.take([i for i in range(len(split.traces)) if i % 3])
+    assignments = [t.game_idx * 10 + min(t.length // 6, 2) for t in kept]
+    assert len(set(assignments)) >= 4
     for limit in (3, 20):
-        ours = profile_partitions(assignments, split.traces, split.scaler, limit).clusters
-        assert ours == _reference_profile(assignments, split.traces, split.scaler, limit)
+        ours = profile_partitions(np.asarray(assignments), kept, split.scaler, limit).clusters
+        assert ours == _reference_profile(assignments, kept, split.scaler, limit)

@@ -297,8 +297,8 @@ def _reference_make_batches(traces, batch_size):
         batches.append(Batch(
             behaviour=behaviour, env_idx=env_idx,
             game_idx=np.asarray([t.game_idx for t in chunk], dtype=np.int64), mask=mask,
-            targets=targets, ab_mask=ab_mask, user_ids=[t.user_id for t in chunk],
-            game_ids=[t.game_id for t in chunk],
+            targets=targets, ab_mask=ab_mask,
+            index=np.asarray([t.index for t in chunk], dtype=np.int64),
             lengths=np.asarray([t.length for t in chunk], dtype=np.int64)))
     return batches
 
@@ -322,12 +322,11 @@ def test_make_batches_equal_the_per_trace_loop():
                     else:
                         x, y = [x], [y]
                     for p, q in zip(x, y):
-                        if isinstance(q, list):
-                            assert type(p) is list and p == q, field.name
-                        else:
-                            assert p.dtype == q.dtype and p.shape == q.shape, field.name
-                            assert (p == q).all(), field.name
-    u7 = [batch.game_ids for batch in make_batches(split.traces, 1) if batch.user_ids == ["u7"]]
+                        assert p.dtype == q.dtype and p.shape == q.shape, field.name
+                        assert (p == q).all(), field.name
+    traces = split.traces
+    u7 = [traces.game_id[batch.index].tolist() for batch in make_batches(traces, 1)
+          if traces.user_id[batch.index].tolist() == ["u7"]]
     assert u7 == [["alpha"], ["beta"]]
 
 
@@ -691,7 +690,7 @@ def test_batch_of_single_session_traces_trains(dataset):
 def test_evaluate_perfect_predictor_zero_smape(dataset):
     batches = make_batches(dataset.test, 16)
     outputs = [dict(batch.targets) for batch in batches]
-    report = evaluate_outputs(batches, outputs)
+    report = evaluate_outputs(dataset.test, batches, outputs)
     assert report.overall["st"] == 0.0
     assert report.overall["ss"] == 0.0
     assert report.overall["ab"] == 0.0
@@ -709,7 +708,7 @@ def test_evaluate_constant_half_churn_is_ln2(dataset):
         out = dict(batch.targets)
         out["ch"] = np.full_like(batch.targets["ch"], 0.5)
         outputs.append(out)
-    report = evaluate_outputs(batches, outputs)
+    report = evaluate_outputs(keep, batches, outputs)
     assert report.overall["ch"] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -724,7 +723,7 @@ def test_evaluate_values_in_unit_interval(dataset):
         assert 0.0 <= cell["loss"] <= 1.0
 
 
-def _reference_evaluate(batches, outputs_per_batch):
+def _reference_evaluate(traces, batches, outputs_per_batch):
     """Cell by cell in Python, in batch, row and step order: the reference for evaluate_outputs."""
     overall_sum = dict.fromkeys(TARGETS, 0.0)
     overall_cnt = dict.fromkeys(TARGETS, 0.0)
@@ -743,7 +742,7 @@ def _reference_evaluate(batches, outputs_per_batch):
             m = masks[name]
             overall_sum[name] += float((terms * m).sum())
             overall_cnt[name] += float(m.sum())
-            for i, game in enumerate(batch.game_ids):
+            for i, game in enumerate(traces.game_id[batch.index].tolist()):
                 for t in range(int(batch.lengths[i])):
                     if m[i, t] == 0.0:
                         continue
@@ -766,18 +765,22 @@ def _reference_evaluate(batches, outputs_per_batch):
 def test_evaluate_outputs_equals_reference_loop(dataset):
     model = MelchiorModel(dataset.vocabs, SMALL_ARCH, seed=4)
     train(model, dataset, TrainConfig(epochs=2, batch_size=8, seed=4))
-    no_absence = make_batches(dataset.train[:5], 5)[0]
+    traces = dataset.traces
+    no_absence = make_batches(traces[:5], 5)[0]
     no_absence.ab_mask[...] = 0.0
-    batches = make_batches(dataset.test, 4) + make_batches(dataset.train, 16) + [no_absence]
-    assert len({g for b in batches for g in b.game_ids}) == 3
+    # the test traces in batches of 4, then the training traces in batches of 16
+    test = [dataclasses.replace(b, index=b.index + dataset.n_train)
+            for b in make_batches(dataset.test, 4)]
+    batches = test + make_batches(dataset.train, 16) + [no_absence]
+    assert len({g for b in batches for g in traces.game_id[b.index].tolist()}) == 3
     assert len({b.mask.shape[1] for b in batches}) > 3
     outputs = [model.forward(batch) for batch in batches]
-    overall, cells = _reference_evaluate(batches, outputs)
-    report = evaluate_outputs(batches, outputs)
+    overall, cells = _reference_evaluate(traces, batches, outputs)
+    report = evaluate_outputs(traces, batches, outputs)
     assert report.overall == overall
     assert report.cells == cells
-    ab_only = evaluate_outputs([no_absence], [outputs[-1]])
-    assert ab_only.overall == _reference_evaluate([no_absence], [outputs[-1]])[0]
+    ab_only = evaluate_outputs(traces, [no_absence], [outputs[-1]])
+    assert ab_only.overall == _reference_evaluate(traces, [no_absence], [outputs[-1]])[0]
     assert ab_only.overall["ab"] == 0.0
     assert not [c for c in ab_only.cells if c["target"] == "ab"]
 
@@ -793,9 +796,8 @@ def test_evaluate_empty_split_errors(dataset):
 
 def test_extract_embedding_widths_and_purity(dataset):
     model = MelchiorModel(dataset.vocabs, SMALL_ARCH, seed=0)
-    users, z1 = extract_embedding(model, dataset.test)
-    again, z2 = extract_embedding(model, dataset.test)
-    assert users == again == sorted(t.user_id for t in dataset.test)
+    z1 = extract_embedding(model, dataset.test)
+    z2 = extract_embedding(model, dataset.test)
     assert z1.shape == (len(dataset.test), SMALL_ARCH.d_z)
     assert np.array_equal(z1, z2)
 
@@ -818,8 +820,16 @@ def test_extract_embedding_causal_prefix(dataset):
     assert z_full.shape == (donor.length, SMALL_ARCH.d_z)
     assert np.allclose(z_full[:cut], z_cut)
     # extract_embedding keeps exactly the state after each trace's final session
-    assert np.array_equal(extract_embedding(model, full)[1], z_full[-1:])
-    assert np.array_equal(extract_embedding(model, truncated)[1], z_cut[-1:])
+    assert np.array_equal(extract_embedding(model, full), z_full[-1:])
+    assert np.array_equal(extract_embedding(model, truncated), z_cut[-1:])
+    # row i is trace i's final state computed alone, over train then test (up to rounding:
+    # a batch of one trace takes other BLAS paths than a batch of many)
+    traces = dataset.traces
+    z = extract_embedding(model, traces)
+    assert z.shape == (len(traces), SMALL_ARCH.d_z)
+    for i in range(len(traces)):
+        model.forward(make_batches(traces.take([i]), 1)[0])
+        assert np.allclose(z[i], model.hidden_states[0, -1], rtol=0.0, atol=1e-12), i
 
 
 # -- persistence ---------------------------------------------------------------------------
@@ -862,5 +872,6 @@ def test_load_model_rejects_a_checkpoint_missing_a_parameter(tmp_path, dataset, 
     del manifest["arrays"][i]
     path.write_text(json.dumps(manifest), encoding="utf-8")
     path.with_suffix(".bin").write_bytes(blob[:start] + blob[start + sizes[i] :])
-    with pytest.raises(ModelError, match=rf"^missing parameter {re.escape(dropped)}$"):
+    with pytest.raises(ModelError,
+                       match=rf"^{re.escape(str(path))}: missing parameter {re.escape(dropped)}$"):
         load_model(path, dataset.vocabs)
